@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // WritePolicy selects the cache's handling of stores.
 type WritePolicy uint8
@@ -128,6 +131,7 @@ type Cache struct {
 	mshrs    []mshr
 	setShift uint
 	setMask  uint64
+	tagShift uint // bits.Len64(setMask): the set-index width
 }
 
 // NewCache builds a cache on top of the given next level. It panics on
@@ -156,21 +160,13 @@ func NewCache(cfg CacheConfig, next Port) *Cache {
 		}
 	}
 	c.setMask = uint64(nSets - 1)
+	c.tagShift = uint(bits.Len64(c.setMask))
 	return c
 }
 
 func (c *Cache) lineAddr(addr uint64) uint64 { return addr >> c.setShift }
 func (c *Cache) setOf(la uint64) int         { return int(la & c.setMask) }
-func (c *Cache) tagOf(la uint64) uint64      { return la >> uint(popShift(c.setMask)) }
-
-func popShift(mask uint64) int {
-	n := 0
-	for mask != 0 {
-		mask >>= 1
-		n++
-	}
-	return n
-}
+func (c *Cache) tagOf(la uint64) uint64      { return la >> c.tagShift }
 
 // lookup finds the way of la in its set, or -1.
 func (c *Cache) lookup(la uint64) int {
@@ -282,7 +278,7 @@ func (c *Cache) install(la uint64, now uint64, dirty bool) {
 	if set[victim].valid && set[victim].dirty {
 		c.Stats.Writebacks++
 		// Reconstruct the victim's address and push it down.
-		victimLA := set[victim].tag<<uint(popShift(c.setMask)) | uint64(c.setOf(la))
+		victimLA := set[victim].tag<<c.tagShift | uint64(c.setOf(la))
 		c.next.Access(now, victimLA<<c.setShift, true)
 	}
 	set[victim] = line{tag: c.tagOf(la), valid: true, dirty: dirty, lastUse: now}

@@ -160,7 +160,16 @@ type Core struct {
 	regProdSeq [isa.TotalDepRegs]uint64
 	regReadyAt [isa.TotalDepRegs]uint64
 
-	unissued int // dispatched but not yet issued (issue-queue occupancy)
+	// iq holds the ROB indices of dispatched, not yet issued entries in
+	// program order; its length is the issue-queue occupancy. Capacity
+	// is Cfg.IQSize, so dispatch never grows it on the cycle loop.
+	iq []int
+	// wake is the earliest cycle at which an entry of iq can issue, as
+	// known after a pass that issued nothing; issue skips its walk
+	// before it. Any dispatch, commit or Restart resets it to 0, as
+	// does a pass that issued (see DESIGN.md §6).
+	wake uint64
+
 	memInROB int // memory ops in flight (LSQ occupancy)
 
 	// storeList holds ROB indices of in-flight stores in program order.
@@ -199,6 +208,7 @@ func NewCore(cfg Config, id int, hier *mem.Hierarchy, stream trace.Stream) *Core
 		Pred:         NewBimodal(cfg.PredictorEntries),
 		stream:       stream,
 		rob:          make([]entry, cfg.ROBSize),
+		iq:           make([]int, 0, cfg.IQSize),
 		storeList:    ring.New[int](cfg.LSQSize),
 		fetchQ:       ring.New[fetched](cfg.FetchQueue),
 		curFetchLine: ^uint64(0),
@@ -282,7 +292,9 @@ func (c *Core) Restart(to uint64) {
 
 	// Flush every in-flight structure.
 	c.head, c.count = 0, 0
-	c.unissued, c.memInROB = 0, 0
+	c.iq = c.iq[:0]
+	c.wake = 0
+	c.memInROB = 0
 	c.storeList.Clear()
 	c.fetchQ.Clear()
 	c.hasPending = false
@@ -315,7 +327,7 @@ func (c *Core) Step() {
 		c.fetch()
 	}
 	c.Stats.ROBOcc.Sample(c.count)
-	c.Stats.IQOcc.Sample(c.unissued)
+	c.Stats.IQOcc.Sample(len(c.iq))
 	c.Stats.LSQOcc.Sample(c.memInROB)
 	c.cycle++
 	c.Stats.Cycles++
@@ -398,8 +410,11 @@ func (c *Core) commit() {
 		if e.rec.IsMem() {
 			c.memInROB--
 		}
-		c.head = (c.head + 1) % c.Cfg.ROBSize
+		if c.head++; c.head == c.Cfg.ROBSize {
+			c.head = 0
+		}
 		c.count--
+		c.wake = 0
 		c.Stats.Insts++
 		c.Stats.Retired++
 		c.position++
@@ -425,97 +440,131 @@ func (c *Core) srcReady(dep int, depSeq, readyAt uint64) (at uint64, ok bool) {
 	return p.complete + c.Cfg.BypassDelay, true
 }
 
+// never is the wake bound of an entry that only another issue, a
+// commit, a dispatch or a Restart can unblock; each of those resets
+// the wake itself.
+const never = ^uint64(0)
+
+// issue walks the unissued entries oldest first and issues up to Width
+// of them. A pass that issues nothing changes no state, so when one
+// does, it records in wake the earliest cycle any entry could issue
+// and later passes are skipped until then.
 func (c *Core) issue() {
 	if c.IssueGate != nil && !c.IssueGate(c.cycle) {
 		return
 	}
-	issued := 0
-	for i := 0; i < c.count && issued < c.Cfg.Width; i++ {
-		idx := (c.head + i) % c.Cfg.ROBSize
-		e := &c.rob[idx]
-		if e.issued {
-			continue
-		}
-		r1, ok := c.srcReady(e.dep1, e.dep1Seq, e.ready1At)
-		if !ok || r1 > c.cycle {
-			continue
-		}
-		r2, ok := c.srcReady(e.dep2, e.dep2Seq, e.ready2At)
-		if !ok || r2 > c.cycle {
-			continue
-		}
-
-		cl := e.rec.Class
-		lat := uint64(isa.Latency(cl))
-		var complete uint64
-
-		switch {
-		case cl.MemoryOp():
-			if cl == isa.ClassAtomic && idx != c.head {
-				continue // atomics issue non-speculatively, at ROB head
-			}
-			if e.rec.IsLoad() || e.rec.IsStore() {
-				if e.rec.IsLoad() {
-					fwd, wait, found := c.forwardFrom(e.rec)
-					if wait {
-						continue // older matching store not yet executed
-					}
-					if !c.memPorts.tryIssue(c.cycle, 1) {
-						continue
-					}
-					if found {
-						complete = maxU64(c.cycle, fwd) + 1
-					} else {
-						done, _ := c.Hier.LoadAccess(c.ID, c.cycle+1, e.rec.Addr)
-						complete = done
-					}
-					if cl == isa.ClassAtomic {
-						complete++ // read-modify-write
-					}
-				} else { // plain store: address generation only
-					if !c.memPorts.tryIssue(c.cycle, 1) {
-						continue
-					}
-					complete = c.cycle + lat
-				}
-			}
-		case cl == isa.ClassIntMul || cl == isa.ClassIntDiv:
-			busy := uint64(1)
-			if !isa.Pipelined(cl) {
-				busy = lat
-			}
-			if !c.mul.tryIssue(c.cycle, busy) {
-				continue
-			}
-			complete = c.cycle + lat
-		case cl == isa.ClassFPALU || cl == isa.ClassFPMul || cl == isa.ClassFPDiv:
-			busy := uint64(1)
-			if !isa.Pipelined(cl) {
-				busy = lat
-			}
-			if !c.fp.tryIssue(c.cycle, busy) {
-				continue
-			}
-			complete = c.cycle + lat
-		default: // ALU, branches, jumps, traps, barriers, nops
-			if !c.alu.tryIssue(c.cycle, 1) {
-				continue
-			}
-			complete = c.cycle + lat
-		}
-
-		e.issued = true
-		e.complete = complete
-		c.unissued--
-		issued++
-
-		if e.mispredict {
-			if r := complete + c.Cfg.BranchPenalty; r > c.fetchResumeAt {
-				c.fetchResumeAt = r
-			}
-			c.waitRedirect = false
-		}
+	if c.cycle < c.wake {
+		return
 	}
+	issued := 0
+	wake := never
+	keep := c.iq[:0]
+	for i, idx := range c.iq {
+		if issued == c.Cfg.Width {
+			keep = append(keep, c.iq[i:]...)
+			break
+		}
+		if at := c.issueOne(idx); at != 0 {
+			keep = append(keep, idx)
+			wake = min(wake, at)
+			continue
+		}
+		issued++
+	}
+	c.iq = keep
+	if issued > 0 {
+		wake = 0
+	}
+	c.wake = wake
+}
+
+// issueOne tries to issue the unissued entry at ROB index idx this
+// cycle. It returns 0 when the entry issued. Otherwise it changes
+// nothing and returns the earliest cycle the entry could issue if no
+// other event intervenes: its operand-ready time, or cycle+1 when every
+// unit of its functional-unit pool is busy. It returns never while an
+// operand's producer or an older matching store has not issued, or an
+// atomic is not at the ROB head: those wait on another entry's issue
+// or on a commit.
+func (c *Core) issueOne(idx int) uint64 {
+	e := &c.rob[idx]
+	r1, ok1 := c.srcReady(e.dep1, e.dep1Seq, e.ready1At)
+	r2, ok2 := c.srcReady(e.dep2, e.dep2Seq, e.ready2At)
+	if !ok1 || !ok2 {
+		return never
+	}
+	if r := max(r1, r2); r > c.cycle {
+		return r
+	}
+	cl := e.rec.Class
+	lat := uint64(isa.Latency(cl))
+	var complete uint64
+
+	switch {
+	case cl.MemoryOp():
+		if cl == isa.ClassAtomic && idx != c.head {
+			return never // atomics issue non-speculatively, at ROB head
+		}
+		if e.rec.IsLoad() || e.rec.IsStore() {
+			if e.rec.IsLoad() {
+				fwd, wait, found := c.forwardFrom(e.rec)
+				if wait {
+					return never // older matching store not yet executed
+				}
+				if !c.memPorts.tryIssue(c.cycle, 1) {
+					return c.cycle + 1
+				}
+				if found {
+					complete = max(c.cycle, fwd) + 1
+				} else {
+					done, _ := c.Hier.LoadAccess(c.ID, c.cycle+1, e.rec.Addr)
+					complete = done
+				}
+				if cl == isa.ClassAtomic {
+					complete++ // read-modify-write
+				}
+			} else { // plain store: address generation only
+				if !c.memPorts.tryIssue(c.cycle, 1) {
+					return c.cycle + 1
+				}
+				complete = c.cycle + lat
+			}
+		}
+	case cl == isa.ClassIntMul || cl == isa.ClassIntDiv:
+		busy := uint64(1)
+		if !isa.Pipelined(cl) {
+			busy = lat
+		}
+		if !c.mul.tryIssue(c.cycle, busy) {
+			return c.cycle + 1
+		}
+		complete = c.cycle + lat
+	case cl == isa.ClassFPALU || cl == isa.ClassFPMul || cl == isa.ClassFPDiv:
+		busy := uint64(1)
+		if !isa.Pipelined(cl) {
+			busy = lat
+		}
+		if !c.fp.tryIssue(c.cycle, busy) {
+			return c.cycle + 1
+		}
+		complete = c.cycle + lat
+	default: // ALU, branches, jumps, traps, barriers, nops
+		if !c.alu.tryIssue(c.cycle, 1) {
+			return c.cycle + 1
+		}
+		complete = c.cycle + lat
+	}
+
+	e.issued = true
+	e.complete = complete
+
+	if e.mispredict {
+		if r := complete + c.Cfg.BranchPenalty; r > c.fetchResumeAt {
+			c.fetchResumeAt = r
+		}
+		c.waitRedirect = false
+	}
+	return 0
 }
 
 // forwardFrom finds the youngest older in-flight store writing the
@@ -553,7 +602,7 @@ func (c *Core) dispatch() {
 			}
 			return
 		}
-		if c.unissued == c.Cfg.IQSize {
+		if len(c.iq) == c.Cfg.IQSize {
 			if n == 0 {
 				c.Stats.DispatchStallIQ++
 			}
@@ -568,7 +617,10 @@ func (c *Core) dispatch() {
 		}
 		c.fetchQ.PopFront()
 
-		idx := (c.head + c.count) % c.Cfg.ROBSize
+		idx := c.head + c.count
+		if idx >= c.Cfg.ROBSize {
+			idx -= c.Cfg.ROBSize
+		}
 		e := entry{rec: f.rec, mispredict: f.mispredict, dep1: -1, dep2: -1}
 		if s := f.rec.Src1; s >= 0 {
 			if p := c.regProd[s]; p >= 0 {
@@ -590,7 +642,8 @@ func (c *Core) dispatch() {
 		}
 		c.rob[idx] = e
 		c.count++
-		c.unissued++
+		c.iq = append(c.iq, idx)
+		c.wake = 0
 		if f.rec.IsMem() {
 			c.memInROB++
 			if f.rec.IsStore() {
@@ -657,11 +710,4 @@ func (c *Core) fetch() {
 			return
 		}
 	}
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

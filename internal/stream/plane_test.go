@@ -2,9 +2,12 @@ package stream
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -45,12 +48,25 @@ buf: .space 256
 `
 
 // The acceptance pin for the whole streaming plane: a campaign run
-// with the plane observing must produce a bit-identical Result and
-// byte-identical checkpoint journal to the same campaign with the
-// plane off — the plane reads the stream, it never touches it. The
-// plane's own final statistics must simultaneously agree with the
-// campaign's: same counts, same Wilson interval.
+// with the plane observing must produce a bit-identical Result and the
+// same checkpoint journal as the same campaign with the plane off —
+// the plane reads the stream, it never touches it. The plane's own
+// final statistics must simultaneously agree with the campaign's: same
+// counts, same Wilson interval.
+//
+// With one worker the journal bytes must be identical. With several,
+// workers append finished batches in completion order (Spec.Observer),
+// so two runs' journals hold the same lines in different orders; they
+// are compared in the index-sorted form a single worker writes.
 func TestPlaneBitIdentityWithCampaign(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			testPlaneBitIdentity(t, workers)
+		})
+	}
+}
+
+func testPlaneBitIdentity(t *testing.T, workers int) {
 	prog := asm.MustAssemble(checksumProgram)
 	dir := t.TempDir()
 	spec := campaign.Spec{
@@ -58,7 +74,7 @@ func TestPlaneBitIdentityWithCampaign(t *testing.T) {
 		Trials:   80,
 		Seed:     7,
 		MaxSteps: 20_000,
-		Workers:  4,
+		Workers:  workers,
 	}
 
 	off := spec
@@ -97,8 +113,11 @@ func TestPlaneBitIdentityWithCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if workers > 1 {
+		jOff, jOn = indexSorted(t, jOff), indexSorted(t, jOn)
+	}
 	if !bytes.Equal(jOff, jOn) {
-		t.Error("checkpoint journal bytes differ with the plane enabled")
+		t.Error("checkpoint journal differs with the plane enabled")
 	}
 
 	fr := plane.Snapshot()
@@ -113,6 +132,33 @@ func TestPlaneBitIdentityWithCampaign(t *testing.T) {
 	if fr.DLQDepth != 0 || fr.Dropped != 0 || fr.Duplicates != 0 {
 		t.Errorf("clean campaign left plane residue: %+v", fr)
 	}
+}
+
+// indexSorted returns a JSONL trial journal with its lines stably
+// sorted by trial index: the bytes a single-worker run writes.
+func indexSorted(t *testing.T, journal []byte) []byte {
+	t.Helper()
+	type line struct {
+		index int
+		text  []byte
+	}
+	var lines []line
+	for _, l := range bytes.SplitAfter(journal, []byte("\n")) {
+		if len(l) == 0 {
+			continue
+		}
+		var rec campaign.TrialRecord
+		if err := json.Unmarshal(l, &rec); err != nil {
+			t.Fatalf("journal line %q: %v", l, err)
+		}
+		lines = append(lines, line{rec.Index, l})
+	}
+	slices.SortStableFunc(lines, func(a, b line) int { return a.index - b.index })
+	var out bytes.Buffer
+	for _, l := range lines {
+		out.Write(l.text)
+	}
+	return out.Bytes()
 }
 
 // A resumed campaign replays journaled records through the observer;
