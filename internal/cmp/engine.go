@@ -19,13 +19,23 @@ import (
 // Machine is one runnable redundancy organization: a baseline core, an
 // UnSync or Reunion pair, a TMR triple, or any future scheme. Drive is
 // the only loop that advances a Machine through the paper's
-// measurement discipline; implementations supply the per-cycle step
-// and the bookkeeping hooks.
+// measurement discipline; implementations supply the per-cycle step,
+// the skip over quiet cycles and the bookkeeping hooks.
 type Machine interface {
 	// Step advances the machine by one cycle.
 	Step()
 	// Cycle returns the machine's cycle counter.
 	Cycle() uint64
+	// NextEvent returns the earliest cycle ≥ Cycle() at which Step
+	// could do more than quiet bookkeeping: a quiet cycle only repeats
+	// the previous cycle's stall counters and occupancy samples, and
+	// commits nothing. Returning Cycle() means this cycle is not
+	// quiet. A bound that is too early is always exact (the engine
+	// steps a quiet cycle); one that is too late is a bug.
+	NextEvent() uint64
+	// Skip charges the cycles [Cycle(), to) exactly as that many Step
+	// calls would. Drive calls it only with to ≤ NextEvent().
+	Skip(to uint64)
 	// Done reports whether every replica finished and all scheme
 	// buffers drained.
 	Done() bool
@@ -75,13 +85,21 @@ func (fp FaultPlan) active() bool { return fp.SER.PerInst > 0 }
 // instruction on the same min-replica clock (continuing across the
 // statistics reset) and delivered through the machine's Injector
 // surface.
+//
+// Both phases skip ahead before each step: the machine jumps over its
+// quiet cycles (Machine.NextEvent) up to rc.MaxCycles, so the results,
+// the injection clock and the cycle at which ErrCycleBudget fires are
+// exactly those of stepping every cycle. A skipped cycle commits
+// nothing, so no fault arrival falls inside one.
 func Drive(m Machine, rc RunConfig, plan FaultPlan) error {
 	return DriveContext(context.Background(), m, rc, plan)
 }
 
 // ctxQuantum is the cancellation check interval of DriveContext, in
-// machine cycles. A cancelled context stops the engine within this many
-// cycles; between checks the hot loop pays nothing for cancellation.
+// engine iterations: one iteration is a skip over quiet cycles, if
+// any, and one step. A cancelled context stops the engine within this
+// many iterations; between checks the hot loop pays nothing for
+// cancellation.
 const ctxQuantum = 4096
 
 // ctxErr returns the context's cancellation cause, or nil — a cheap
@@ -96,10 +114,11 @@ func ctxErr(ctx context.Context) error {
 }
 
 // DriveContext is Drive under a context: cancelling ctx abandons the
-// run within one step quantum (ctxQuantum cycles) and returns the
-// cancellation cause. Cancellation does not corrupt m — it simply stops
-// advancing — but a cancelled run's statistics cover an arbitrary
-// prefix of the window and must not be Collected as a measurement.
+// run within one quantum (ctxQuantum engine iterations, each a skip
+// and a step) and returns the cancellation cause. Cancellation does
+// not corrupt m — it simply stops advancing — but a cancelled run's
+// statistics cover an arbitrary prefix of the window and must not be
+// Collected as a measurement.
 func DriveContext(ctx context.Context, m Machine, rc RunConfig, plan FaultPlan) error {
 	var (
 		inj        Injector
@@ -120,6 +139,12 @@ func DriveContext(ctx context.Context, m Machine, rc RunConfig, plan FaultPlan) 
 	}
 	sinceCheck := 0
 	step := func() {
+		if to := min(m.NextEvent(), rc.MaxCycles); to > m.Cycle() {
+			m.Skip(to)
+			if to == rc.MaxCycles {
+				return
+			}
+		}
 		m.Step()
 		if arr == nil {
 			return
@@ -202,7 +227,8 @@ func Run(s Scheme, rc RunConfig, prof trace.Profile) (Result, error) {
 }
 
 // RunContext is Run under a context: cancelling ctx abandons the run
-// within one step quantum and returns the cancellation cause.
+// within one quantum of engine iterations and returns the cancellation
+// cause.
 func RunContext(ctx context.Context, s Scheme, rc RunConfig, prof trace.Profile) (Result, error) {
 	return RunInjectedContext(ctx, s, rc, prof, FaultPlan{})
 }

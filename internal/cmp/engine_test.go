@@ -219,9 +219,11 @@ func (f *fakeMachine) Step() {
 	f.fast += 2 // the leading replica runs ahead...
 	f.slow++    // ...the trailing one sets the committed clock
 }
-func (f *fakeMachine) Cycle() uint64 { return f.cycle }
-func (f *fakeMachine) Done() bool    { return f.slow >= 400 }
-func (f *fakeMachine) ResetStats()   { f.resetAt = []uint64{f.fast, f.slow} }
+func (f *fakeMachine) Cycle() uint64     { return f.cycle }
+func (f *fakeMachine) NextEvent() uint64 { return f.cycle }
+func (f *fakeMachine) Skip(to uint64)    { f.cycle = max(f.cycle, to) }
+func (f *fakeMachine) Done() bool        { return f.slow >= 400 }
+func (f *fakeMachine) ResetStats()       { f.resetAt = []uint64{f.fast, f.slow} }
 func (f *fakeMachine) Committed() uint64 {
 	if f.slow < f.fast {
 		return f.slow
@@ -367,6 +369,8 @@ func (m *cancellingMachine) Step() {
 	}
 }
 func (m *cancellingMachine) Cycle() uint64     { return m.cycles }
+func (m *cancellingMachine) NextEvent() uint64 { return m.cycles }
+func (m *cancellingMachine) Skip(to uint64)    { m.cycles = max(m.cycles, to) }
 func (m *cancellingMachine) Done() bool        { return false }
 func (m *cancellingMachine) ResetStats()       {}
 func (m *cancellingMachine) Committed() uint64 { return m.cycles }
@@ -390,6 +394,51 @@ func TestDriveContextCancelMidRun(t *testing.T) {
 	}
 	if slack := m.cycles - m.cancelAt; slack > ctxQuantum {
 		t.Errorf("ran %d cycles past the cancel, want at most one quantum (%d)", slack, ctxQuantum)
+	}
+}
+
+// skippingMachine never finishes and is quiet for a million cycles
+// after every step, so each engine iteration skips far ahead. It
+// cancels its own context on a fixed step.
+type skippingMachine struct {
+	cycle, steps, cancelAt uint64
+	cancel                 context.CancelCauseFunc
+	cause                  error
+}
+
+func (m *skippingMachine) Step() {
+	m.cycle++
+	if m.steps++; m.steps == m.cancelAt {
+		m.cancel(m.cause)
+	}
+}
+func (m *skippingMachine) Cycle() uint64     { return m.cycle }
+func (m *skippingMachine) NextEvent() uint64 { return m.cycle + 1_000_000 }
+func (m *skippingMachine) Skip(to uint64)    { m.cycle = max(m.cycle, to) }
+func (m *skippingMachine) Done() bool        { return false }
+func (m *skippingMachine) ResetStats()       {}
+func (m *skippingMachine) Committed() uint64 { return m.steps }
+func (m *skippingMachine) Collect(*Result)   {}
+
+// TestDriveContextCancelCountsIterations pins the quantum after
+// skip-ahead: it counts engine iterations, not cycles. A machine that
+// jumps a million cycles per iteration still returns the cancellation
+// cause within one quantum of iterations of the cancel.
+func TestDriveContextCancelCountsIterations(t *testing.T) {
+	cause := errors.New("operator abort")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	m := &skippingMachine{cancelAt: 10_000, cancel: cancel, cause: cause}
+	rc := RunConfig{MaxCycles: ^uint64(0)}
+
+	err := DriveContext(ctx, m, rc, FaultPlan{})
+	if !errors.Is(err, cause) {
+		t.Fatalf("DriveContext = %v, want the cancellation cause %v", err, cause)
+	}
+	if slack := m.steps - m.cancelAt; slack > ctxQuantum {
+		t.Errorf("ran %d iterations past the cancel, want at most one quantum (%d)", slack, ctxQuantum)
+	}
+	if m.cycle < 1_000_000*m.cancelAt {
+		t.Errorf("cycle %d after %d iterations: the engine did not skip ahead", m.cycle, m.steps)
 	}
 }
 

@@ -222,6 +222,40 @@ func (p *Pair) Step() {
 	p.cycle++
 }
 
+// NextEvent returns the earliest cycle, at or after Cycle(), at which
+// Step could do more than quiet bookkeeping: the earlier of both
+// cores' bounds, any pending recovery and, while both Communication
+// Buffers hold entries, the cycle the bus frees for a drain.
+func (p *Pair) NextEvent() uint64 {
+	next := p.A.NextEvent()
+	if next == p.cycle {
+		return next
+	}
+	next = min(next, p.B.NextEvent())
+	for _, ev := range p.pendingRecovery {
+		next = min(next, ev.at)
+	}
+	if !p.cb[0].Empty() && !p.cb[1].Empty() {
+		next = min(next, p.Hier.Bus.BusyUntil())
+	}
+	return max(next, p.cycle)
+}
+
+// Skip advances the pair to cycle to, charging the cycles [Cycle(), to)
+// exactly as that many Step calls would. The caller guarantees
+// to ≤ NextEvent().
+func (p *Pair) Skip(to uint64) {
+	if to <= p.cycle {
+		return
+	}
+	n := to - p.cycle
+	p.A.Skip(to)
+	p.B.Skip(to)
+	p.Stats.CBOcc[0].SampleN(p.cb[0].Len(), n)
+	p.Stats.CBOcc[1].SampleN(p.cb[1].Len(), n)
+	p.cycle = to
+}
+
 // drain writes matched CB entries to the shared L2. Following §III-A(a),
 // an entry leaves the pair only when both cores have produced it ("has
 // completed execution on both") and the L1↔L2 bus is free; exactly one

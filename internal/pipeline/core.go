@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"errors"
+	"math/bits"
 
 	"github.com/cmlasu/unsync/internal/events"
 	"github.com/cmlasu/unsync/internal/isa"
@@ -143,7 +144,9 @@ type Core struct {
 	DrainEmpty func(cycle uint64) bool
 	// IssueGate, when non-nil, can block instruction issue for a cycle
 	// (Reunion stalls the whole pipeline while a serializing
-	// instruction's fingerprint is being verified, §IV-A5).
+	// instruction's fingerprint is being verified, §IV-A5). It must
+	// have no side effects: cycles skipped through NextEvent and Skip
+	// do not consult it.
 	IssueGate func(cycle uint64) bool
 
 	Stats Stats
@@ -160,11 +163,18 @@ type Core struct {
 	regProdSeq [isa.TotalDepRegs]uint64
 	regReadyAt [isa.TotalDepRegs]uint64
 
-	// iq holds the ROB indices of dispatched, not yet issued entries in
-	// program order; its length is the issue-queue occupancy. Capacity
-	// is Cfg.IQSize, so dispatch never grows it on the cycle loop.
-	iq []int
-	// wake is the earliest cycle at which an entry of iq can issue, as
+	// unissued counts dispatched, not yet issued entries: the
+	// issue-queue occupancy.
+	unissued int
+	// armed is a bitmap over ROB indices of the unissued entries whose
+	// producers have all issued: the only entries the issue walk
+	// visits. waiters holds one robWords-word bitmap row per ROB
+	// index: the unissued consumers still waiting on that entry to
+	// issue. Both are sized at construction and never grow.
+	armed    []uint64
+	waiters  []uint64
+	robWords int
+	// wake is the earliest cycle at which an armed entry can issue, as
 	// known after a pass that issued nothing; issue skips its walk
 	// before it. Any dispatch, commit or Restart resets it to 0, as
 	// does a pass that issued (see DESIGN.md §6).
@@ -201,6 +211,7 @@ func NewCore(cfg Config, id int, hier *mem.Hierarchy, stream trace.Stream) *Core
 		//unsync:allow-panic invariant: chip assembly allocates hierarchy slots before building cores
 		panic("pipeline: core id out of range of hierarchy")
 	}
+	words := (cfg.ROBSize + 63) / 64
 	c := &Core{
 		Cfg:          cfg,
 		ID:           id,
@@ -208,7 +219,9 @@ func NewCore(cfg Config, id int, hier *mem.Hierarchy, stream trace.Stream) *Core
 		Pred:         NewBimodal(cfg.PredictorEntries),
 		stream:       stream,
 		rob:          make([]entry, cfg.ROBSize),
-		iq:           make([]int, 0, cfg.IQSize),
+		armed:        make([]uint64, words),
+		waiters:      make([]uint64, cfg.ROBSize*words),
+		robWords:     words,
 		storeList:    ring.New[int](cfg.LSQSize),
 		fetchQ:       ring.New[fetched](cfg.FetchQueue),
 		curFetchLine: ^uint64(0),
@@ -292,7 +305,9 @@ func (c *Core) Restart(to uint64) {
 
 	// Flush every in-flight structure.
 	c.head, c.count = 0, 0
-	c.iq = c.iq[:0]
+	c.unissued = 0
+	clear(c.armed)
+	clear(c.waiters)
 	c.wake = 0
 	c.memInROB = 0
 	c.storeList.Clear()
@@ -327,10 +342,91 @@ func (c *Core) Step() {
 		c.fetch()
 	}
 	c.Stats.ROBOcc.Sample(c.count)
-	c.Stats.IQOcc.Sample(len(c.iq))
+	c.Stats.IQOcc.Sample(c.unissued)
 	c.Stats.LSQOcc.Sample(c.memInROB)
 	c.cycle++
 	c.Stats.Cycles++
+}
+
+// NextEvent returns the earliest cycle, at or after Cycle(), at which
+// Step could do more than repeat this cycle's stall bookkeeping. A
+// cycle is quiet when the core is frozen, or when every stage is idle
+// in a way no passing cycle alone can end:
+//
+//   - commit: the ROB is empty, or its head has not issued or not
+//     completed (the commit hooks are never consulted);
+//   - issue: the cycle is before wake (IssueGate, a pure predicate, is
+//     then irrelevant);
+//   - dispatch: the fetch queue is empty, or the ROB, IQ or LSQ blocks
+//     its front;
+//   - fetch: it is stalled, the fetch queue is full, or the stream is
+//     done.
+//
+// The bound is the earliest of the head's completion, wake, the fetch
+// resume cycle and the end of a freeze. A bound earlier than needed is
+// harmless (the caller steps a quiet cycle); a later one is a bug.
+func (c *Core) NextEvent() uint64 {
+	now := c.cycle
+	if now < c.frozenUntil {
+		return c.frozenUntil
+	}
+	if now >= c.wake {
+		return now
+	}
+	next := c.wake
+	if c.count > 0 {
+		if e := &c.rob[c.head]; e.issued {
+			if now >= e.complete {
+				return now
+			}
+			next = min(next, e.complete)
+		}
+	}
+	if !c.fetchQ.Empty() && c.dispatchStall() == nil {
+		return now
+	}
+	if !c.streamDone || c.hasPending {
+		switch {
+		case c.waitRedirect: // only an issue clears it, and wake bounds that
+		case now < c.fetchResumeAt:
+			next = min(next, c.fetchResumeAt)
+		case c.fetchQ.Len() < c.Cfg.FetchQueue:
+			return now
+		}
+	}
+	return next
+}
+
+// Skip advances the core to cycle to, charging the cycles [Cycle(), to)
+// to the same counters as that many Step calls. The caller guarantees
+// to ≤ NextEvent(), so every skipped cycle is quiet.
+func (c *Core) Skip(to uint64) {
+	if to <= c.cycle {
+		return
+	}
+	n := to - c.cycle
+	if c.cycle < c.frozenUntil {
+		c.Stats.FrozenCycles += n
+	} else {
+		if c.count == 0 {
+			c.Stats.StallEmpty += n
+		} else {
+			c.Stats.StallExec += n
+		}
+		if !c.fetchQ.Empty() {
+			if stall := c.dispatchStall(); stall != nil {
+				*stall += n
+			}
+		}
+		if (!c.streamDone || c.hasPending) && (c.cycle < c.fetchResumeAt || c.waitRedirect) {
+			c.Stats.FetchStall += n
+		}
+	}
+	c.Stats.ROBOcc.SampleN(c.count, n)
+	c.Stats.IQOcc.SampleN(c.unissued, n)
+	c.Stats.LSQOcc.SampleN(c.memInROB, n)
+	c.cycle = to
+	c.Stats.Cycles += n
 }
 
 // ErrCycleBudget is returned by Run when maxCycles elapses first.
@@ -445,10 +541,16 @@ func (c *Core) srcReady(dep int, depSeq, readyAt uint64) (at uint64, ok bool) {
 // the wake itself.
 const never = ^uint64(0)
 
-// issue walks the unissued entries oldest first and issues up to Width
+// issue walks the armed entries oldest first and issues up to Width
 // of them. A pass that issues nothing changes no state, so when one
 // does, it records in wake the earliest cycle any entry could issue
 // and later passes are skipped until then.
+//
+// The walk visits the armed bits of [head, ROBSize) and then of
+// [0, head): program order. An entry a producer arms during the pass
+// cannot issue in it (every latency is at least one cycle), so whether
+// the walk sees it makes no difference; the pass has issued, so wake
+// resets anyway.
 func (c *Core) issue() {
 	if c.IssueGate != nil && !c.IssueGate(c.cycle) {
 		return
@@ -458,24 +560,71 @@ func (c *Core) issue() {
 	}
 	issued := 0
 	wake := never
-	keep := c.iq[:0]
-	for i, idx := range c.iq {
-		if issued == c.Cfg.Width {
-			keep = append(keep, c.iq[i:]...)
-			break
+	lo, hi := c.head, c.Cfg.ROBSize
+	for pass := 0; pass < 2 && issued < c.Cfg.Width; pass++ {
+		if pass == 1 {
+			lo, hi = 0, c.head
 		}
-		if at := c.issueOne(idx); at != 0 {
-			keep = append(keep, idx)
-			wake = min(wake, at)
-			continue
+		for w := lo >> 6; w<<6 < hi && issued < c.Cfg.Width; w++ {
+			word := c.armed[w]
+			if w == lo>>6 {
+				word &= ^uint64(0) << (lo & 63)
+			}
+			if end := (w + 1) << 6; end > hi {
+				word &= ^uint64(0) >> (end - hi)
+			}
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				word &= word - 1
+				idx := w<<6 | b
+				if at := c.issueOne(idx); at != 0 {
+					wake = min(wake, at)
+					continue
+				}
+				c.armed[w] &^= 1 << b
+				c.unissued--
+				c.wakeWaiters(idx)
+				if issued++; issued == c.Cfg.Width {
+					break
+				}
+			}
 		}
-		issued++
 	}
-	c.iq = keep
 	if issued > 0 {
 		wake = 0
 	}
 	c.wake = wake
+}
+
+// wakeWaiters arms every consumer of the just-issued entry at ROB
+// index idx whose operands are now all resolved, and empties idx's
+// waiter row.
+func (c *Core) wakeWaiters(idx int) {
+	row := c.waiters[idx*c.robWords : (idx+1)*c.robWords]
+	for w, word := range row {
+		if word == 0 {
+			continue
+		}
+		row[w] = 0
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &= word - 1
+			e := &c.rob[w<<6|b]
+			if c.resolved(e.dep1, e.dep1Seq) && c.resolved(e.dep2, e.dep2Seq) {
+				c.armed[w] |= 1 << b
+			}
+		}
+	}
+}
+
+// resolved reports whether a dependence's producer has issued (or
+// committed, freeing its slot).
+func (c *Core) resolved(dep int, depSeq uint64) bool {
+	if dep < 0 {
+		return true
+	}
+	p := &c.rob[dep]
+	return p.issued || p.rec.Seq != depSeq
 }
 
 // issueOne tries to issue the unissued entry at ROB index idx this
@@ -596,26 +745,13 @@ func (c *Core) dispatch() {
 		if c.fetchQ.Empty() {
 			return
 		}
-		if c.count == c.Cfg.ROBSize {
+		if stall := c.dispatchStall(); stall != nil {
 			if n == 0 {
-				c.Stats.DispatchStallROB++
+				*stall++
 			}
 			return
 		}
-		if len(c.iq) == c.Cfg.IQSize {
-			if n == 0 {
-				c.Stats.DispatchStallIQ++
-			}
-			return
-		}
-		f := *c.fetchQ.Front()
-		if f.rec.IsMem() && c.memInROB == c.Cfg.LSQSize {
-			if n == 0 {
-				c.Stats.DispatchStallLSQ++
-			}
-			return
-		}
-		c.fetchQ.PopFront()
+		f := c.fetchQ.PopFront()
 
 		idx := c.head + c.count
 		if idx >= c.Cfg.ROBSize {
@@ -642,7 +778,18 @@ func (c *Core) dispatch() {
 		}
 		c.rob[idx] = e
 		c.count++
-		c.iq = append(c.iq, idx)
+		c.unissued++
+		w, bit := idx>>6, uint64(1)<<(idx&63)
+		armed := true
+		for _, dep := range [2]int{e.dep1, e.dep2} {
+			if dep >= 0 && !c.rob[dep].issued {
+				c.waiters[dep*c.robWords+w] |= bit
+				armed = false
+			}
+		}
+		if armed {
+			c.armed[w] |= bit
+		}
 		c.wake = 0
 		if f.rec.IsMem() {
 			c.memInROB++
@@ -655,6 +802,22 @@ func (c *Core) dispatch() {
 		// commit on the store path (barriers). The redundancy schemes
 		// impose their own, stronger serialization via CommitGate.
 	}
+}
+
+// dispatchStall returns the counter of the structure that keeps the
+// fetch-queue front from dispatching — a full ROB, IQ or (for a memory
+// op) LSQ — or nil when it can dispatch. The fetch queue must not be
+// empty.
+func (c *Core) dispatchStall() *uint64 {
+	switch {
+	case c.count == c.Cfg.ROBSize:
+		return &c.Stats.DispatchStallROB
+	case c.unissued == c.Cfg.IQSize:
+		return &c.Stats.DispatchStallIQ
+	case c.memInROB == c.Cfg.LSQSize && c.fetchQ.Front().rec.IsMem():
+		return &c.Stats.DispatchStallLSQ
+	}
+	return nil
 }
 
 // ---- fetch stage ----

@@ -13,11 +13,12 @@ import (
 )
 
 // refIssue is the linear-scan issue stage that the wake-gated walk
-// replaced, kept as the differential reference. Every cycle it visits
-// all count ROB entries oldest first, skips the issued ones and
-// re-checks operand readiness for the rest. It keeps c.iq in step,
-// because dispatch and the occupancy sample read it, and never reads
-// c.wake.
+// over the armed bitmap replaced, kept as the differential reference.
+// Every cycle it visits all count ROB entries oldest first, skips the
+// issued ones and re-checks operand readiness for the rest. It keeps
+// c.unissued in step, because dispatch and the occupancy sample read
+// it, and never reads c.wake or the armed and waiter bitmaps (dispatch
+// still writes them; the reference leaves them stale).
 func refIssue(c *Core) {
 	if c.IssueGate != nil && !c.IssueGate(c.cycle) {
 		return
@@ -111,15 +112,13 @@ func refIssue(c *Core) {
 	}
 }
 
-// refDropIQ removes ROB index idx from the unissued list.
+// refDropIQ accounts for the issue of ROB index idx in the unissued
+// counter.
 func refDropIQ(c *Core, idx int) {
-	for i, v := range c.iq {
-		if v == idx {
-			c.iq = append(c.iq[:i], c.iq[i+1:]...)
-			return
-		}
+	if c.unissued == 0 {
+		panic(fmt.Sprintf("refIssue: ROB index %d issued with no unissued entry counted", idx))
 	}
-	panic(fmt.Sprintf("refIssue: ROB index %d issued but not in the unissued list", idx))
+	c.unissued--
 }
 
 // refStep is Core.Step with refIssue in place of issue.
@@ -133,7 +132,7 @@ func refStep(c *Core) {
 		c.fetch()
 	}
 	c.Stats.ROBOcc.Sample(c.count)
-	c.Stats.IQOcc.Sample(len(c.iq))
+	c.Stats.IQOcc.Sample(c.unissued)
 	c.Stats.LSQOcc.Sample(c.memInROB)
 	c.cycle++
 	c.Stats.Cycles++
@@ -143,7 +142,7 @@ func refStep(c *Core) {
 // must agree on.
 type coreScalars struct {
 	cycle, position, fetchResumeAt, frozenUntil uint64
-	head, count, memInROB, stores               int
+	head, count, memInROB, stores, unissued     int
 	waitRedirect, hasPending, streamDone        bool
 	stats                                       Stats // occupancy pointers cleared
 	rob, iq, lsq                                stats.Occupancy
@@ -152,7 +151,7 @@ type coreScalars struct {
 func scalarsOf(c *Core) coreScalars {
 	s := coreScalars{
 		cycle: c.cycle, position: c.position, fetchResumeAt: c.fetchResumeAt, frozenUntil: c.frozenUntil,
-		head: c.head, count: c.count, memInROB: c.memInROB, stores: c.storeList.Len(),
+		head: c.head, count: c.count, memInROB: c.memInROB, stores: c.storeList.Len(), unissued: c.unissued,
 		waitRedirect: c.waitRedirect, hasPending: c.hasPending, streamDone: c.streamDone,
 		stats: c.Stats,
 		rob:   *c.Stats.ROBOcc, iq: *c.Stats.IQOcc, lsq: *c.Stats.LSQOcc,
@@ -167,9 +166,6 @@ func stateDiff(a, b *Core) string {
 	if sa, sb := scalarsOf(a), scalarsOf(b); sa != sb {
 		return fmt.Sprintf("scalars:\n got %+v\nwant %+v", sa, sb)
 	}
-	if !slices.Equal(a.iq, b.iq) {
-		return fmt.Sprintf("unissued list: got %v, want %v", a.iq, b.iq)
-	}
 	if !slices.Equal(a.rob, b.rob) {
 		return "ROB entries"
 	}
@@ -181,6 +177,46 @@ func stateDiff(a, b *Core) string {
 	for i, fa := range []*fuPool{a.alu, a.mul, a.fp, a.memPorts} {
 		if fb := []*fuPool{b.alu, b.mul, b.fp, b.memPorts}[i]; !slices.Equal(fa.freeAt, fb.freeAt) {
 			return fmt.Sprintf("functional unit pool %d", i)
+		}
+	}
+	return ""
+}
+
+// bitmapDiff checks the armed and waiter bitmaps of c against the ROB
+// they summarize, and names the first disagreement, or returns "". An
+// in-flight unissued entry is armed exactly when every producer has
+// issued; it sits in exactly the waiter rows of its unissued
+// producers; every other bit is clear. armed and waiters are scratch
+// bitmaps of c's shapes.
+func bitmapDiff(c *Core, armed, waiters []uint64) string {
+	clear(armed)
+	clear(waiters)
+	for i := 0; i < c.count; i++ {
+		idx := (c.head + i) % c.Cfg.ROBSize
+		e := &c.rob[idx]
+		if e.issued {
+			continue
+		}
+		w, bit := idx>>6, uint64(1)<<(idx&63)
+		if c.resolved(e.dep1, e.dep1Seq) && c.resolved(e.dep2, e.dep2Seq) {
+			armed[w] |= bit
+		}
+		if !c.resolved(e.dep1, e.dep1Seq) {
+			waiters[e.dep1*c.robWords+w] |= bit
+		}
+		if !c.resolved(e.dep2, e.dep2Seq) {
+			waiters[e.dep2*c.robWords+w] |= bit
+		}
+	}
+	if !slices.Equal(c.armed, armed) {
+		return fmt.Sprintf("armed bitmap %x, want %x", c.armed, armed)
+	}
+	if !slices.Equal(c.waiters, waiters) {
+		for idx := range c.rob {
+			row := func(bm []uint64) []uint64 { return bm[idx*c.robWords : (idx+1)*c.robWords] }
+			if got, want := row(c.waiters), row(waiters); !slices.Equal(got, want) {
+				return fmt.Sprintf("waiter row of ROB index %d = %x, want %x", idx, got, want)
+			}
 		}
 	}
 	return ""
@@ -219,7 +255,7 @@ type diffCase struct {
 // Table I core with no external events.
 func decodeDiffCase(seed, geom uint64) diffCase {
 	n := uint64(len(trace.Benchmarks()))
-	dc := diffCase{cfg: DefaultConfig(), prof: int(seed % (n + 1)), seed: seed, insts: 3_000}
+	dc := diffCase{cfg: DefaultConfig(), prof: int(seed % (n + 2)), seed: seed, insts: 3_000}
 	if geom == 0 {
 		return dc
 	}
@@ -291,12 +327,42 @@ func syntheticMix(seed uint64, n int) []trace.Record {
 	return recs
 }
 
+// fanoutMix repeats a block of one long-latency producer followed by
+// a run of consumers of its result, so one waiter row holds many bits
+// (across bitmap words, on a large ROB) and one issue arms them all.
+func fanoutMix(seed uint64, n int) []trace.Record {
+	r := splitmix64(seed)
+	recs := make([]trace.Record, n)
+	for i := 0; i < n; {
+		producer := []isa.Class{isa.ClassIntDiv, isa.ClassFPDiv, isa.ClassLoad}[r.next()%3]
+		fan := int(r.upto(8, 120))
+		for j := 0; j <= fan && i < n; j++ {
+			rec := trace.Record{Class: isa.ClassIntALU, Dst: int8(2 + r.next()%10), Src1: 1, Src2: -1,
+				Seq: uint64(i), PC: 0x4000 + uint64(i%64)*4}
+			if j == 0 {
+				rec.Class, rec.Dst, rec.Src1 = producer, 1, -1
+				if producer == isa.ClassLoad {
+					rec.Addr = 0x100000 + (r.next()%4096)*64
+				}
+			} else if r.next()%4 == 0 {
+				rec.Src2 = int8(2 + r.next()%10) // a second, younger producer
+			}
+			recs[i] = rec
+			i++
+		}
+	}
+	return recs
+}
+
 func (dc diffCase) stream() trace.Stream {
 	bs := trace.Benchmarks()
-	if dc.prof < len(bs) {
+	switch {
+	case dc.prof < len(bs):
 		return trace.NewLimit(trace.NewGenerator(bs[dc.prof].Reseeded(dc.seed)), dc.insts)
+	case dc.prof == len(bs):
+		return trace.NewSliceStream(syntheticMix(dc.seed, int(dc.insts)))
 	}
-	return trace.NewSliceStream(syntheticMix(dc.seed, int(dc.insts)))
+	return trace.NewSliceStream(fanoutMix(dc.seed, int(dc.insts)))
 }
 
 func (dc diffCase) core() *Core {
@@ -316,6 +382,7 @@ func (dc diffCase) core() *Core {
 func runLockstep(t *testing.T, dc diffCase) {
 	t.Helper()
 	got, want := dc.core(), dc.core()
+	armed, waiters := make([]uint64, len(got.armed)), make([]uint64, len(got.waiters))
 	const budget = 2_000_000
 	for !(got.Done() && want.Done()) {
 		if got.cycle >= budget {
@@ -337,6 +404,9 @@ func runLockstep(t *testing.T, dc diffCase) {
 		if d := stateDiff(got, want); d != "" {
 			t.Fatalf("%+v: state diverged at cycle %d: %s", dc, want.cycle-1, d)
 		}
+		if d := bitmapDiff(got, armed, waiters); d != "" {
+			t.Fatalf("%+v: issue bitmaps wrong after cycle %d: %s", dc, got.cycle-1, d)
+		}
 	}
 	if !reflect.DeepEqual(got.Stats, want.Stats) {
 		t.Fatalf("%+v: final stats differ:\n got %+v\nwant %+v", dc, got.Stats, want.Stats)
@@ -346,17 +416,29 @@ func runLockstep(t *testing.T, dc diffCase) {
 	}
 }
 
-// FuzzIssueStageMatchesLinearScan pins the wake-gated issue stage to
-// the linear-scan reference, cycle by cycle, over random core
-// geometries, bypass delays, freezes, restarts and toggling gates. The
-// seed corpus runs every built-in profile and the synthetic mix on the
-// Table I core and on one random geometry each.
+// FuzzIssueStageMatchesLinearScan pins the wake-gated, bitmap-driven
+// issue stage to the linear-scan reference, cycle by cycle, over random
+// core geometries, bypass delays, freezes, restarts and toggling gates,
+// and checks the armed and waiter bitmaps against the ROB every cycle.
+// The seed corpus runs every built-in profile, the synthetic mix and
+// the fan-out mix on the Table I core and on one random geometry each,
+// and the two mixes on ROB sizes either side of a 64-bit word.
 func FuzzIssueStageMatchesLinearScan(f *testing.F) {
-	for i := 0; i <= len(trace.Benchmarks()); i++ {
-		f.Add(uint64(i), uint64(0))
-		f.Add(uint64(i), uint64(i)*0x9e3779b97f4a7c15+1)
+	n := len(trace.Benchmarks())
+	for i := 0; i <= n+1; i++ {
+		f.Add(uint64(i), uint64(0), uint8(0))
+		f.Add(uint64(i), uint64(i)*0x9e3779b97f4a7c15+1, uint8(0))
 	}
-	f.Fuzz(func(t *testing.T, seed, geom uint64) {
-		runLockstep(t, decodeDiffCase(seed, geom))
+	for _, rob := range []uint8{63, 64, 65, 127, 129} {
+		f.Add(uint64(n), uint64(0), rob)
+		f.Add(uint64(n+1), uint64(0), rob)
+		f.Add(uint64(n+1), uint64(rob)*0x9e3779b97f4a7c15+1, rob)
+	}
+	f.Fuzz(func(t *testing.T, seed, geom uint64, rob uint8) {
+		dc := decodeDiffCase(seed, geom)
+		if rob > 0 { // override the ROB size, raised to the width if below it
+			dc.cfg.ROBSize = max(int(rob), dc.cfg.Width)
+		}
+		runLockstep(t, dc)
 	})
 }

@@ -370,8 +370,15 @@ func (p *Pair) Cycle() uint64 { return p.cycle }
 // CSBLen returns the CSB occupancy of one core.
 func (p *Pair) CSBLen(side int) int { return p.csbOcc[side] }
 
-// Step advances the pair by one cycle.
+// Step advances the pair by one cycle. Once both cores have drained,
+// it first closes any trailing partial fingerprint windows so their
+// final entries can retire.
 func (p *Pair) Step() {
+	for side := 0; side < 2; side++ {
+		if p.trailingOpen(side) {
+			p.closeFp(side, p.cycle)
+		}
+	}
 	p.retire()
 	p.A.Step()
 	p.B.Step()
@@ -380,19 +387,59 @@ func (p *Pair) Step() {
 	p.cycle++
 }
 
-// Done reports whether both cores have finished and every fingerprint
-// has been verified and retired.
-func (p *Pair) Done() bool {
+// trailingOpen reports whether both cores have drained and side's
+// current fingerprint window is partial and still open: the window
+// Step closes. It reads the windows without opening new ones.
+func (p *Pair) trailingOpen(side int) bool {
 	if !p.A.Done() || !p.B.Done() {
 		return false
 	}
-	// Close any trailing partial windows so the final entries retire.
-	for side := 0; side < 2; side++ {
-		if f := p.fp(p.cur[side]); f.count[side] > 0 && !f.closed[side] {
-			p.closeFp(side, p.cycle)
+	i := p.cur[side] - p.fpBase
+	if i >= uint64(p.fps.Len()) {
+		return false
+	}
+	f := p.fps.At(int(i))
+	return f.count[side] > 0 && !f.closed[side]
+}
+
+// NextEvent returns the earliest cycle, at or after Cycle(), at which
+// Step could do more than quiet bookkeeping: the earlier of both
+// cores' bounds and the verification of the front fingerprint, once
+// both sides have closed it. A pending trailing-window close makes the
+// current cycle busy.
+func (p *Pair) NextEvent() uint64 {
+	next := p.A.NextEvent()
+	if next == p.cycle || p.trailingOpen(0) || p.trailingOpen(1) {
+		return p.cycle
+	}
+	next = min(next, p.B.NextEvent())
+	if p.fps.Len() > 0 {
+		if v, ok := p.fps.Front().verifiedAt(p.Cfg.CompareLatency); ok {
+			next = min(next, v)
 		}
 	}
-	return p.csbOcc[0] == 0 && p.csbOcc[1] == 0
+	return max(next, p.cycle)
+}
+
+// Skip advances the pair to cycle to, charging the cycles [Cycle(), to)
+// exactly as that many Step calls would. The caller guarantees
+// to ≤ NextEvent().
+func (p *Pair) Skip(to uint64) {
+	if to <= p.cycle {
+		return
+	}
+	n := to - p.cycle
+	p.A.Skip(to)
+	p.B.Skip(to)
+	p.Stats.CSBOcc[0].SampleN(p.csbOcc[0], n)
+	p.Stats.CSBOcc[1].SampleN(p.csbOcc[1], n)
+	p.cycle = to
+}
+
+// Done reports whether both cores have finished and every fingerprint
+// has been verified and retired. It has no side effects.
+func (p *Pair) Done() bool {
+	return p.A.Done() && p.B.Done() && p.csbOcc[0] == 0 && p.csbOcc[1] == 0
 }
 
 // Run steps the pair to completion or until maxCycles.

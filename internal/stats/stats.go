@@ -206,6 +206,22 @@ func (o *Occupancy) Sample(n int) {
 	}
 }
 
+// SampleN records the same occupancy for k cycles, exactly as k calls
+// to Sample(n) would. k = 0 records nothing.
+func (o *Occupancy) SampleN(n int, k uint64) {
+	if k == 0 {
+		return
+	}
+	o.cycles += k
+	o.sum += uint64(n) * k
+	if n > o.peak {
+		o.peak = n
+	}
+	if o.cap > 0 && n >= o.cap {
+		o.fullCy += k
+	}
+}
+
 // Mean returns the average occupancy per cycle.
 func (o *Occupancy) Mean() float64 {
 	if o.cycles == 0 {

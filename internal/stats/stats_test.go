@@ -236,6 +236,35 @@ func TestOccupancy(t *testing.T) {
 	}
 }
 
+// TestOccupancySampleN pins SampleN(v, k) to k calls of Sample(v):
+// every observable, exactly, below, at and above capacity, with k = 0
+// a no-op.
+func TestOccupancySampleN(t *testing.T) {
+	steps := []struct {
+		v int
+		k uint64
+	}{{0, 3}, {2, 0}, {3, 7}, {4, 2}, {6, 5}, {1, 0}, {4, 1}, {2, 11}}
+	bulk, single := NewOccupancy(4), NewOccupancy(4)
+	for i, s := range steps {
+		bulk.SampleN(s.v, s.k)
+		for j := uint64(0); j < s.k; j++ {
+			single.Sample(s.v)
+		}
+		if *bulk != *single {
+			t.Fatalf("after step %d (SampleN(%d, %d)): got %+v, want %+v", i, s.v, s.k, *bulk, *single)
+		}
+		if bulk.Mean() != single.Mean() || bulk.Peak() != single.Peak() ||
+			bulk.FullFrac() != single.FullFrac() || bulk.Cycles() != single.Cycles() {
+			t.Fatalf("after step %d: observables differ", i)
+		}
+	}
+	empty := NewOccupancy(4)
+	empty.SampleN(9, 0)
+	if *empty != *NewOccupancy(4) {
+		t.Errorf("SampleN(9, 0) changed an empty tracker: %+v", *empty)
+	}
+}
+
 func TestOccupancyEmpty(t *testing.T) {
 	o := NewOccupancy(4)
 	if o.Mean() != 0 || o.FullFrac() != 0 {

@@ -168,6 +168,52 @@ func (t *Triple) Step() {
 	t.cycle++
 }
 
+// NextEvent returns the earliest cycle, at or after Cycle(), at which
+// Step could do more than quiet bookkeeping: the earliest of the
+// cores' bounds and any pending resync. A due catch-up pop makes the
+// current cycle busy; so do two or more present CB heads with the bus
+// free, and with the bus busy they bound the skip at its free cycle.
+func (t *Triple) NextEvent() uint64 {
+	next := t.Cores[0].NextEvent()
+	if next == t.cycle {
+		return next
+	}
+	next = min(next, t.Cores[1].NextEvent(), t.Cores[2].NextEvent())
+	for _, ev := range t.pendingResync {
+		next = min(next, ev.at)
+	}
+	present := 0
+	for i := range t.cb {
+		if len(t.cb[i]) > 0 {
+			if int64(t.cb[i][0].seq) <= t.lastDrained {
+				return t.cycle
+			}
+			present++
+		}
+	}
+	if present >= 2 {
+		next = min(next, t.Hier.Bus.BusyUntil())
+	}
+	return max(next, t.cycle)
+}
+
+// Skip advances the triple to cycle to, charging the cycles
+// [Cycle(), to) exactly as that many Step calls would. The caller
+// guarantees to ≤ NextEvent().
+func (t *Triple) Skip(to uint64) {
+	if to <= t.cycle {
+		return
+	}
+	n := to - t.cycle
+	for _, c := range t.Cores {
+		c.Skip(to)
+	}
+	for i := range t.cb {
+		t.Stats.CBOcc[i].SampleN(len(t.cb[i]), n)
+	}
+	t.cycle = to
+}
+
 // drain performs majority voting on the CB heads: with at least two
 // matching heads present and the bus free, one copy drains to the L2.
 // A present-but-divergent minority head is discarded (masked); the

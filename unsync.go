@@ -122,8 +122,9 @@ func Run(s Scheme, rc RunConfig, benchmark string) (Result, error) {
 }
 
 // RunContext is Run under a context: cancelling ctx abandons the
-// simulation within one step quantum (a few thousand machine cycles)
-// and returns the cancellation cause instead of a result.
+// simulation within one quantum of engine iterations (a few thousand
+// steps, each after a skip over quiet cycles) and returns the
+// cancellation cause instead of a result.
 func RunContext(ctx context.Context, s Scheme, rc RunConfig, benchmark string) (Result, error) {
 	p, ok := trace.ByName(benchmark)
 	if !ok {
