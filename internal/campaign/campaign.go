@@ -235,6 +235,27 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
+// Validate reports a spec no campaign can run: an unknown scheme, an
+// invalid fault space, or a fingerprint interval below 1. Defaults
+// apply first, so zero fields are valid. RunContext and RunShard call
+// it; the job service calls it at submit.
+func (s Spec) Validate() error {
+	s = s.withDefaults()
+	if s.Scheme != SchemeUnSync && s.Scheme != SchemeReunion {
+		return fmt.Errorf("campaign: unknown scheme %q (want %s or %s)",
+			s.Scheme, SchemeUnSync, SchemeReunion)
+	}
+	for _, sp := range s.Spaces {
+		if sp >= fault.NumSpaces {
+			return fmt.Errorf("campaign: invalid space %d", sp)
+		}
+	}
+	if s.FI < 1 {
+		return fmt.Errorf("campaign: fingerprint interval %d, want at least 1", s.FI)
+	}
+	return nil
+}
+
 // AllSpaces returns every injectable fault space.
 func AllSpaces() []fault.Space {
 	out := make([]fault.Space, 0, fault.NumSpaces)
@@ -331,14 +352,8 @@ func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, erro
 		Requested: spec.Trials,
 		BySpace:   make(map[string]fault.CampaignResult),
 	}
-	if spec.Scheme != SchemeUnSync && spec.Scheme != SchemeReunion {
-		return res, fmt.Errorf("campaign: unknown scheme %q (want %s or %s)",
-			spec.Scheme, SchemeUnSync, SchemeReunion)
-	}
-	for _, sp := range spec.Spaces {
-		if sp >= fault.NumSpaces {
-			return res, fmt.Errorf("campaign: invalid space %d", sp)
-		}
+	if err := spec.Validate(); err != nil {
+		return res, err
 	}
 
 	g, err := fault.Golden(prog, spec.MaxSteps)

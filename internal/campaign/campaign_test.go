@@ -312,6 +312,25 @@ func TestRunRejectsBadSpec(t *testing.T) {
 	}
 }
 
+// TestNegativeFIRejected: a negative fingerprint interval used to pass
+// validation (defaults fill only zero) and run as FI 10 under a journal
+// key recording the negative value. Both entry points must reject it.
+func TestNegativeFIRejected(t *testing.T) {
+	prog := mustProg(t, testProgram)
+	spec := Spec{Scheme: SchemeReunion, Trials: 4, FI: -5}
+	if _, err := Run(prog, spec); err == nil || !strings.Contains(err.Error(), "fingerprint interval -5") {
+		t.Errorf("Run: err = %v, want a fingerprint interval error", err)
+	}
+	emitted := 0
+	err := RunShard(context.Background(), prog, spec, 0, 4, nil, func(TrialRecord) error { emitted++; return nil })
+	if err == nil || !strings.Contains(err.Error(), "fingerprint interval -5") {
+		t.Errorf("RunShard: err = %v, want a fingerprint interval error", err)
+	}
+	if emitted != 0 {
+		t.Errorf("RunShard emitted %d records for an invalid spec", emitted)
+	}
+}
+
 // TestDeriveSiteAlwaysValid: every derived flip must pass validation
 // for any index and attempt.
 func TestDeriveSiteAlwaysValid(t *testing.T) {

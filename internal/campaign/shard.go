@@ -33,14 +33,8 @@ import (
 // exactly as the single-node path journals them.
 func RunShard(ctx context.Context, prog *asm.Program, spec Spec, lo, hi int, skip map[int]bool, emit func(TrialRecord) error) error {
 	spec = spec.withDefaults()
-	if spec.Scheme != SchemeUnSync && spec.Scheme != SchemeReunion {
-		return fmt.Errorf("campaign: unknown scheme %q (want %s or %s)",
-			spec.Scheme, SchemeUnSync, SchemeReunion)
-	}
-	for _, sp := range spec.Spaces {
-		if sp >= fault.NumSpaces {
-			return fmt.Errorf("campaign: invalid space %d", sp)
-		}
+	if err := spec.Validate(); err != nil {
+		return err
 	}
 	if lo < 0 || hi > spec.Trials || lo > hi {
 		return fmt.Errorf("campaign: shard range [%d, %d) outside trial space [0, %d)", lo, hi, spec.Trials)

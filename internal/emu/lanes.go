@@ -16,6 +16,20 @@ import (
 type Overlay struct {
 	base  *Memory
 	dirty map[uint64]byte
+
+	// undo journals every Write while journal is on (from Mark to
+	// Release), so Rewind can return to any mark.
+	undo    []storeUndo
+	journal bool
+}
+
+// storeUndo is one journaled Write: the bytes it overwrote and which
+// of them were already in the lane's private dirty set.
+type storeUndo struct {
+	addr  uint64
+	old   [8]byte
+	dirty uint8 // bit i set: byte addr+i was dirty, holding old[i]
+	width uint8
 }
 
 // NewOverlay returns an empty overlay over base. The base is read
@@ -46,8 +60,12 @@ func (o *Overlay) Read(addr uint64, width int) uint64 {
 }
 
 // Write stores the low width bytes of v at addr, mirroring
-// Memory.Write.
+// Memory.Write. While journaling (see Mark) the prior bytes are
+// recorded first.
 func (o *Overlay) Write(addr uint64, v uint64, width int) {
+	if o.journal {
+		o.record(addr, width)
+	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
 	for i := 0; i < width; i++ {
@@ -55,9 +73,59 @@ func (o *Overlay) Write(addr uint64, v uint64, width int) {
 	}
 }
 
+// record journals the width bytes at addr before a Write overwrites
+// them.
+func (o *Overlay) record(addr uint64, width int) {
+	u := storeUndo{addr: addr, width: uint8(width)}
+	for i := 0; i < width; i++ {
+		if b, ok := o.dirty[addr+uint64(i)]; ok {
+			u.old[i] = b
+			u.dirty |= 1 << i
+		}
+	}
+	o.undo = append(o.undo, u)
+}
+
+// Mark returns the current position of the overlay's undo journal,
+// switching journaling on if it is off: from here on every Write
+// records the bytes it overwrites, and Rewind(m) returns the overlay to
+// its state at the Mark that returned m. Marks nest, so a checkpoint
+// costs nothing and a rollback costs the stores since it — the image
+// is never copied.
+func (o *Overlay) Mark() int {
+	o.journal = true
+	return len(o.undo)
+}
+
+// Rewind undoes every Write journaled after mark m, newest first. The
+// dirty set is restored exactly: bytes first written after the mark
+// leave it again.
+func (o *Overlay) Rewind(m int) {
+	for k := len(o.undo) - 1; k >= m; k-- {
+		u := &o.undo[k]
+		for i := 0; i < int(u.width); i++ {
+			a := u.addr + uint64(i)
+			if u.dirty&(1<<i) != 0 {
+				o.dirty[a] = u.old[i]
+			} else {
+				delete(o.dirty, a)
+			}
+		}
+	}
+	o.undo = o.undo[:m]
+}
+
+// Release switches journaling off and forgets the journal; the
+// overlay keeps its current contents.
+func (o *Overlay) Release() {
+	o.undo = o.undo[:0]
+	o.journal = false
+}
+
 // Clone returns a copy-on-write fork of the overlay: the base stays
 // shared, the dirty set is copied. Cost is proportional to the bytes
-// the source lane has written, not to the memory image.
+// the source lane has written, not to the memory image. The fork does
+// not journal until it is marked.
 func (o *Overlay) Clone() Overlay {
 	return Overlay{base: o.base, dirty: maps.Clone(o.dirty)}
 }
@@ -358,6 +426,17 @@ func (l *Lanes) Snapshot(i int) ArchState {
 	}
 	s.PC = l.PC[i]
 	return s
+}
+
+// Restore overwrites lane i's registers and PC with s, the lane
+// counterpart of Machine.Restore (r0 stays hardwired to zero).
+func (l *Lanes) Restore(i int, s ArchState) {
+	for r := 0; r < isa.NumRegs; r++ {
+		l.Regs[r][i] = s.Regs[r]
+		l.FRegs[r][i] = s.FRegs[r]
+	}
+	l.PC[i] = s.PC
+	l.Regs[0][i] = 0
 }
 
 // XorReg flips bits of lane i's integer register r by mask. The write

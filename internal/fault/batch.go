@@ -62,7 +62,9 @@ type BatchResult struct {
 // BatchStats counts how a batch was executed, for throughput reporting:
 // lanes classified statically against the golden run (Shortcut), lanes
 // that completed inside the lockstep group (Lockstep), and lanes that
-// retired to the scalar finishing path (Retired).
+// retired to the scalar finishing path (Retired). The Reunion kernel
+// counts the lanes its engine classifies as Lockstep and its hand-backs
+// to RunReunionTrial as Retired (see batch_reunion.go).
 type BatchStats struct {
 	Lanes    uint64
 	Shortcut uint64
@@ -267,50 +269,4 @@ func classifyOutput(out, golden []uint64) Outcome {
 		return OutcomeBenign
 	}
 	return OutcomeSDC
-}
-
-// ReunionTrialBatch classifies a batch of Reunion injection trials
-// against one shared golden run. Reunion's windowed fingerprint
-// compare-and-rollback is a per-lane state machine — rollback rewinds a
-// lane to its own checkpoint, off any shared trace — so lanes that
-// need emulation run the scalar kernel and are accounted as retired;
-// the batch still shares the decode and golden run, and strikes at or
-// past program completion classify statically (the injection condition
-// can never fire, so the pair stays clean and halts with the golden
-// output).
-func ReunionTrialBatch(prog *asm.Program, trials []BatchTrial, fi int, opts TrialOpts) ([]BatchResult, BatchStats, error) {
-	res := make([]BatchResult, len(trials))
-	stats := BatchStats{Lanes: uint64(len(trials))}
-	opts = opts.withDefaults()
-	g, err := opts.golden(prog)
-	if err != nil {
-		return res, stats, err
-	}
-	opts.Golden = g
-	for i, t := range trials {
-		// Mirror the scalar kernel's validation order: transient
-		// non-CB strikes ignore the site fields and skip validation.
-		if !t.Transient || t.Flip.Space == SpaceCB {
-			if err := t.Flip.Validate(); err != nil {
-				res[i] = BatchResult{Err: err}
-				continue
-			}
-		}
-		if t.Step >= g.InstCount {
-			res[i] = BatchResult{Outcome: OutcomeBenign, Done: true}
-			stats.Shortcut++
-			continue
-		}
-		o, err := RunReunionTrial(prog, t.Step, t.Flip, t.Transient, fi, opts)
-		if err != nil {
-			// The scalar kernel only errors on invalid sites (handled
-			// above), golden failures (handled above) or cancellation;
-			// treat any error here as fatal to the batch so a resumed
-			// campaign re-runs the lane.
-			return res, stats, err
-		}
-		res[i] = BatchResult{Outcome: o, Done: true}
-		stats.Retired++
-	}
-	return res, stats, nil
 }

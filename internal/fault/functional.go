@@ -719,30 +719,46 @@ func ReunionCampaign(prog *asm.Program, n int, transient bool, fi int, seed uint
 }
 
 // ReunionCampaignContext is ReunionCampaign under a context (same
-// cancellation contract as UnSyncCampaignContext).
+// cancellation contract as UnSyncCampaignContext). The sites are drawn
+// up front in the order a trial-by-trial loop would draw them, then
+// classified reunionCampaignBatch at a time by ReunionTrialBatch.
 func ReunionCampaignContext(ctx context.Context, prog *asm.Program, n int, transient bool, fi int, seed uint64, maxSteps uint64) (CampaignResult, error) {
 	g, err := golden(prog, maxSteps)
 	if err != nil {
 		return CampaignResult{}, err
 	}
 	arr := NewArrivals(SER{PerInst: 1}, seed)
+	trials := make([]BatchTrial, n)
+	for i := range trials {
+		step := uint64(arr.Pick(int(g.InstCount)))
+		trials[i] = BatchTrial{Step: step, Flip: randomFlip(arr), Transient: transient}
+	}
 	opts := TrialOpts{MaxSteps: maxSteps, StepBudget: maxSteps * 4, Golden: g, Ctx: ctx}
 	var res CampaignResult
 	var errs []error
-	for i := 0; i < n; i++ {
+	for lo := 0; lo < n; lo += reunionCampaignBatch {
 		if cause := context.Cause(ctx); cause != nil {
 			return res, errors.Join(append(errs, cause)...)
 		}
-		step := uint64(arr.Pick(int(g.InstCount)))
-		o, err := RunReunionTrial(prog, step, randomFlip(arr), transient, fi, opts)
+		out, _, err := ReunionTrialBatch(prog, trials[lo:min(lo+reunionCampaignBatch, n)], fi, opts)
+		for k, r := range out {
+			switch {
+			case r.Err != nil:
+				errs = append(errs, fmt.Errorf("fault: trial %d: %w", lo+k, r.Err))
+			case r.Done:
+				if r.Outcome == OutcomeHang {
+					r.Outcome = OutcomeUnrecoverable
+				}
+				res.Add(r.Outcome)
+			}
+		}
 		if err != nil {
-			errs = append(errs, fmt.Errorf("fault: trial %d: %w", i, err))
-			continue
+			return res, errors.Join(append(errs, err)...)
 		}
-		if o == OutcomeHang {
-			o = OutcomeUnrecoverable
-		}
-		res.Add(o)
 	}
 	return res, errors.Join(errs...)
 }
+
+// reunionCampaignBatch is the lane width ReunionCampaignContext hands
+// to the lane engine, the campaign engine's default batch width.
+const reunionCampaignBatch = 32

@@ -173,7 +173,7 @@ func DefaultConfig(root string) Config {
 		PublicDir:     ".",
 		FaultDirs:     []string{"internal/fault", "internal/campaign"},
 		ResilienceDir: "internal/resilience",
-		BatchFiles:    []string{"internal/emu/lanes.go", "internal/fault/batch.go"},
+		BatchFiles:    []string{"internal/emu/lanes.go", "internal/fault/batch.go", "internal/fault/batch_reunion.go"},
 		StreamDirs: []string{
 			"internal/stream",
 			"internal/fabric",

@@ -54,12 +54,32 @@ func UpdateWord(state uint16, w uint16) uint16 {
 	return Update(state, byte(w))
 }
 
-// Update64 folds a 64-bit value, most significant word first.
+// slice8[k][b] is the CRC, from a zero state, of byte b followed by k
+// zero bytes: the tables of the slicing-by-8 formulation.
+var slice8 = func() [8][256]uint16 {
+	var t [8][256]uint16
+	t[0] = table
+	for k := 1; k < 8; k++ {
+		for b := 0; b < 256; b++ {
+			t[k][b] = Update(t[k-1][b], 0)
+		}
+	}
+	return t
+}()
+
+// Update64 folds a 64-bit value, most significant byte first — the same
+// result as eight Update steps. CRC is linear, so the state folds into
+// the first two bytes and each byte's contribution is one independent
+// lookup (slicing-by-8) instead of a chain of eight dependent ones.
 func Update64(state uint16, v uint64) uint16 {
-	state = UpdateWord(state, uint16(v>>48))
-	state = UpdateWord(state, uint16(v>>32))
-	state = UpdateWord(state, uint16(v>>16))
-	return UpdateWord(state, uint16(v))
+	return slice8[7][byte(v>>56)^byte(state>>8)] ^
+		slice8[6][byte(v>>48)^byte(state)] ^
+		slice8[5][byte(v>>40)] ^
+		slice8[4][byte(v>>32)] ^
+		slice8[3][byte(v>>24)] ^
+		slice8[2][byte(v>>16)] ^
+		slice8[1][byte(v>>8)] ^
+		slice8[0][byte(v)]
 }
 
 // Checksum computes the CRC-16 of a byte slice from a zero initial

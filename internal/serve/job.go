@@ -118,7 +118,8 @@ func (r *JobRequest) validate() error {
 }
 
 // Validate checks the campaign params without running anything: the
-// program assembles, the space names resolve, the scheme is known. It
+// program assembles, the space names resolve, and the campaign spec
+// validates (known scheme, fingerprint interval at least 1). It
 // is shared by job submission, shard execution, and the fabric
 // coordinator (which validates params before splitting the space).
 func (p *CampaignParams) Validate() error {
@@ -128,10 +129,7 @@ func (p *CampaignParams) Validate() error {
 	if _, err := p.spaces(); err != nil {
 		return err
 	}
-	if s := p.Scheme; s != "" && s != campaign.SchemeUnSync && s != campaign.SchemeReunion {
-		return fmt.Errorf("unknown scheme %q (want %s or %s)", s, campaign.SchemeUnSync, campaign.SchemeReunion)
-	}
-	return nil
+	return p.Spec().Validate()
 }
 
 // Program assembles the campaign workload. Exported for the fabric

@@ -373,6 +373,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Kind: KindCampaign, Campaign: &CampaignParams{Prog: "no-such-prog"}},
 		{Kind: KindCampaign, Campaign: &CampaignParams{Prog: "checksum", Spaces: []string{"warp-core"}}},
 		{Kind: KindCampaign, Campaign: &CampaignParams{Prog: "checksum", Scheme: "tmr"}},
+		{Kind: KindCampaign, Campaign: &CampaignParams{Prog: "checksum", Scheme: "reunion", FI: -5}},
 		{Kind: KindFigure},
 		{Kind: KindFigure, Figure: &FigureParams{Name: "fig99"}},
 	}
