@@ -44,6 +44,7 @@ import (
 	"github.com/cmlasu/unsync/internal/events"
 	"github.com/cmlasu/unsync/internal/fault"
 	"github.com/cmlasu/unsync/internal/isa"
+	"github.com/cmlasu/unsync/internal/journal"
 	"github.com/cmlasu/unsync/internal/stats"
 	"github.com/cmlasu/unsync/internal/sweep"
 )
@@ -364,7 +365,7 @@ func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, erro
 	key := spec.Key(res.Prog)
 
 	var loaded map[int]TrialRecord
-	var journal *journalWriter
+	var jn *journal.Log
 	if spec.Checkpoint != "" {
 		if spec.Resume {
 			var foreign map[string]int
@@ -381,11 +382,13 @@ func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, erro
 					ErrKeyMismatch, spec.Checkpoint, describeForeign(foreign), key)
 			}
 		}
-		journal, err = openJournal(spec.Checkpoint)
+		jn, err = journal.Open(spec.Checkpoint)
 		if err != nil {
-			return res, err
+			return res, fmt.Errorf("campaign: %w", err)
 		}
-		defer journal.close()
+		// Every append is already written through; Close only releases
+		// the descriptor.
+		defer func() { _ = jn.Close() }()
 	}
 
 	recs := make([]*TrialRecord, spec.Trials)
@@ -435,11 +438,13 @@ func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, erro
 				if spec.Observer != nil {
 					spec.Observer(crecs[j])
 				}
-				if journal == nil {
+				if jn == nil {
 					continue
 				}
-				if jerr := journal.append(crecs[j]); jerr != nil {
-					return crecs, jerr
+				// Flushed to the OS per record, not fsync'd: a
+				// completed trial survives a kill of the process.
+				if jerr := jn.Append(&crecs[j], false); jerr != nil {
+					return crecs, fmt.Errorf("campaign: checkpoint trial %d: %w", crecs[j].Index, jerr)
 				}
 			}
 			return crecs, err

@@ -13,6 +13,7 @@ import (
 
 	"github.com/cmlasu/unsync/internal/asm"
 	"github.com/cmlasu/unsync/internal/fault"
+	"github.com/cmlasu/unsync/internal/journal"
 )
 
 // tearJournalTail truncates the journal mid-way through its final
@@ -298,6 +299,15 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("torn-tail resume changed the result:\ngot:  %+v\nwant: %+v", got, want)
+	}
+	// The re-run trial must not be glued onto the torn fragment: the
+	// checkpoint replays cleanly with exactly one record per trial.
+	n := 0
+	if err := journal.Replay(ck, func(TrialRecord) error { n++; return nil }); err != nil {
+		t.Fatalf("checkpoint after torn-tail resume: %v", err)
+	}
+	if n != spec.Trials {
+		t.Fatalf("checkpoint after torn-tail resume holds %d records, want %d", n, spec.Trials)
 	}
 }
 

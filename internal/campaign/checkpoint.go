@@ -1,11 +1,9 @@
 package campaign
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"os"
-	"sync"
+
+	"github.com/cmlasu/unsync/internal/journal"
 )
 
 // TrialRecord is one journaled trial outcome. It is both the JSONL
@@ -67,93 +65,25 @@ func (r TrialRecord) Equal(o TrialRecord) bool {
 }
 
 // loadJournal reads a JSONL checkpoint and returns the records whose
-// Key matches key, indexed by trial index, plus a count of well-formed
-// records carrying each other key seen in the file. A missing file is
-// not an error (nothing to resume). Unparseable lines — typically one
-// partial trailing line from a killed writer — are skipped, not fatal:
-// resume must tolerate exactly the interruptions it exists for.
+// Key matches key, indexed by trial index, plus a count of records
+// carrying each other key seen in the file: a checkpoint may be shared
+// by several specs, whose lines are well-formed and simply skipped. A
+// missing file is not an error (nothing to resume); the torn-tail
+// policy is journal.Replay's.
 func loadJournal(path, key string) (map[int]TrialRecord, map[string]int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return map[int]TrialRecord{}, nil, nil
-		}
-		return nil, nil, fmt.Errorf("campaign: open checkpoint: %w", err)
-	}
-	defer f.Close()
-
 	recs := make(map[int]TrialRecord)
 	foreign := make(map[string]int)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	err := journal.Replay(path, func(rec TrialRecord) error {
+		switch {
+		case rec.Key == key:
+			recs[rec.Index] = rec
+		case rec.Key != "":
+			foreign[rec.Key]++
 		}
-		var rec TrialRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			continue // torn write from a killed run
-		}
-		if rec.Key != key {
-			if rec.Key != "" {
-				foreign[rec.Key]++
-			}
-			continue
-		}
-		recs[rec.Index] = rec
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("campaign: read checkpoint: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("campaign: checkpoint %w", err)
 	}
 	return recs, foreign, nil
-}
-
-// journalWriter appends TrialRecords to a JSONL file. Appends are
-// serialized by a mutex because trials complete concurrently on the
-// worker pool; each record is written as one line so a kill can tear
-// at most the final line.
-type journalWriter struct {
-	mu sync.Mutex
-	f  *os.File
-	w  *bufio.Writer
-}
-
-// openJournal opens (creating if needed) the checkpoint file for
-// appending.
-func openJournal(path string) (*journalWriter, error) {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: open checkpoint for append: %w", err)
-	}
-	return &journalWriter{f: f, w: bufio.NewWriter(f)}, nil
-}
-
-// append journals one record and flushes it to the OS, so a completed
-// trial survives a kill of the campaign process.
-func (j *journalWriter) append(rec TrialRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("campaign: marshal trial record: %w", err)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.w.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("campaign: journal trial %d: %w", rec.Index, err)
-	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("campaign: flush journal: %w", err)
-	}
-	return nil
-}
-
-// close flushes and closes the underlying file.
-func (j *journalWriter) close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.w.Flush(); err != nil {
-		j.f.Close()
-		return err
-	}
-	return j.f.Close()
 }

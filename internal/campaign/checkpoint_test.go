@@ -30,13 +30,11 @@ func checkpointLines(t testing.TB, key string, n int) [][]byte {
 }
 
 // TestLoadJournalCorruptionCorpus runs the shared tail-corruption
-// corpus against the checkpoint loader. The checkpoint is the LENIENT
-// loader: journals are shared across specs, so unparseable lines are
-// skipped wherever they appear and only the matching-key records
-// survive.
+// corpus against the checkpoint loader: a torn final line is skipped,
+// and corruption followed by valid lines fails the load.
 func TestLoadJournalCorruptionCorpus(t *testing.T) {
 	lines := checkpointLines(t, "deadbeef", 12)
-	journaltest.Check(t, lines, false, func(path string) (int, error) {
+	journaltest.Check(t, lines, func(path string) (int, error) {
 		recs, _, err := loadJournal(path, "deadbeef")
 		return len(recs), err
 	})

@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"github.com/cmlasu/unsync/internal/campaign"
+	"github.com/cmlasu/unsync/internal/journal"
 	"github.com/cmlasu/unsync/internal/resilience"
 	"github.com/cmlasu/unsync/internal/serve"
 	"github.com/cmlasu/unsync/internal/stream"
@@ -171,7 +172,7 @@ type Coordinator struct {
 	spec     campaign.Spec // normalized
 	progHash string
 	key      string
-	jn       *journal
+	jn       *journal.Log
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -247,17 +248,17 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("fabric: journal %s already holds a campaign; pass -resume to continue it or remove the file to start fresh", cfg.Journal)
 	}
 
-	c.jn, err = openJournal(cfg.Journal)
+	c.jn, err = journal.Open(cfg.Journal)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fabric: %w", err)
 	}
 	if header == nil {
 		params := cfg.Params
-		if err := c.jn.append(journalEvent{
+		if err := c.jn.Append(journalEvent{
 			Event: evCampaign, Key: key, Trials: spec.Trials,
 			Prog: progHash, Params: &params,
 		}, true); err != nil {
-			c.jn.close()
+			c.jn.Close()
 			return nil, err
 		}
 	}
@@ -292,14 +293,14 @@ func splitRange(trials, n int) []*shard {
 
 // Close releases the coordinator journal. Run closes it implicitly on
 // return; Close exists for New-but-never-Run paths.
-func (c *Coordinator) Close() error { return c.jn.close() }
+func (c *Coordinator) Close() error { return c.jn.Close() }
 
 // Run executes the campaign to completion (or interruption) and merges
 // the result. On campaign.ErrInterrupted (context cancelled, or
 // Config.StopAfter fired) the journal holds every received trial and a
 // Resume run completes the campaign without re-running them.
 func (c *Coordinator) Run(ctx context.Context) (campaign.Result, error) {
-	defer c.jn.close()
+	defer c.jn.Close()
 
 	c.replayPlane()
 
@@ -435,7 +436,7 @@ func (c *Coordinator) next(ctx context.Context, url string) (grant, bool) {
 			c.mu.Unlock()
 			// Journal outside the lock: lease events fsync.
 			for _, ev := range evs {
-				if err := c.jn.append(ev, true); err != nil {
+				if err := c.jn.Append(ev, true); err != nil {
 					c.fail(errors.Join(errFatal, err))
 					return grant{}, false
 				}
@@ -554,12 +555,12 @@ func (c *Coordinator) record(rec *campaign.TrialRecord) error {
 	if prev, ok := c.done[rec.Index]; ok {
 		c.duplicates++
 		c.mu.Unlock()
-		if !recordsEqual(prev, rec) {
+		if !prev.Equal(*rec) {
 			return fmt.Errorf("%w: trial %d arrived twice with different payloads — determinism violation (worker skew?)", errFatal, rec.Index)
 		}
 		// The plane counts the duplicate too (its dedupe re-verifies
-		// bit-identity); observed outside c.mu so a Block-policy inlet
-		// can never hold the coordinator lock.
+		// bit-identity); observed outside c.mu so a blocking inlet can
+		// never hold the coordinator lock.
 		c.cfg.Plane.Observe(*rec)
 		return nil
 	}
@@ -571,7 +572,7 @@ func (c *Coordinator) record(rec *campaign.TrialRecord) error {
 	c.mu.Unlock()
 
 	c.cfg.Plane.Observe(*rec)
-	if err := c.jn.append(journalEvent{Event: evTrial, Rec: rec}, false); err != nil {
+	if err := c.jn.Append(journalEvent{Event: evTrial, Rec: rec}, false); err != nil {
 		return errors.Join(errFatal, err)
 	}
 	if completeNow {
@@ -594,7 +595,7 @@ func (c *Coordinator) finishShard(s *shard) {
 	s.state = shardDone
 	id := s.id
 	c.mu.Unlock()
-	_ = c.jn.append(journalEvent{Event: evDone, Shard: id}, true)
+	_ = c.jn.Append(journalEvent{Event: evDone, Shard: id}, true)
 }
 
 // repend returns a failed lease's shard to the pending pool and wakes
@@ -609,7 +610,7 @@ func (c *Coordinator) repend(g grant, url string, cause error) {
 	if cause != nil {
 		msg = cause.Error()
 	}
-	_ = c.jn.append(journalEvent{Event: evFail, Shard: id, Lo: lo, Hi: hi, Worker: url, Attempt: att, Err: msg}, true)
+	_ = c.jn.Append(journalEvent{Event: evFail, Shard: id, Lo: lo, Hi: hi, Worker: url, Attempt: att, Err: msg}, true)
 	c.logf("lease failed: shard %d [%d,%d) on %s (attempt %d): %v", id, lo, hi, url, att, cause)
 	c.cond.Broadcast()
 }
@@ -628,10 +629,6 @@ func (c *Coordinator) fail(err error) {
 	}
 	c.cond.Broadcast()
 }
-
-// recordsEqual compares two trial records field-for-field via
-// campaign.TrialRecord.Equal (the AttemptErrs slice rules out ==).
-func recordsEqual(a, b *campaign.TrialRecord) bool { return a.Equal(*b) }
 
 // sleepCtx sleeps d, returning false if ctx died first. Timer-based so
 // the wait is interruptible (and the repo's sleep lint stays clean).

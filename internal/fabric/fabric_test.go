@@ -488,3 +488,68 @@ func TestJournalReplayToleratesTornTail(t *testing.T) {
 		t.Fatal("replay accepted corruption in the middle of the journal")
 	}
 }
+
+// A coordinator killed mid-append leaves a torn tail. The first resume
+// must not glue its appends onto the fragment, or the second resume
+// fails on a garbage line mid-journal.
+func TestFleetResumedTwiceOverTornTail(t *testing.T) {
+	params := testParams(60)
+	wantJournal, wantResult := singleNodeRun(t, params)
+
+	w1, w2 := newWorker(t, nil), newWorker(t, nil)
+	dir := t.TempDir()
+	cfg := Config{
+		Workers:   []string{w1.URL, w2.URL},
+		Params:    params,
+		Journal:   filepath.Join(dir, "fleet.jsonl"),
+		Merged:    filepath.Join(dir, "merged.jsonl"),
+		Shards:    5,
+		MinSteal:  2,
+		StopAfter: 20,
+	}
+	c1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.Run(context.Background()); !errors.Is(err, campaign.ErrInterrupted) {
+		t.Fatalf("first run: got %v, want campaign.ErrInterrupted", err)
+	}
+	f, err := os.OpenFile(cfg.Journal, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"event":"trial","rec":{"key":"k","i":4`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	cfg.Resume = true
+	cfg.StopAfter = 10
+	c2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("first resume: %v", err)
+	}
+	if _, err := c2.Run(context.Background()); !errors.Is(err, campaign.ErrInterrupted) {
+		t.Fatalf("first resume run: got %v, want campaign.ErrInterrupted", err)
+	}
+
+	cfg.StopAfter = 0
+	c3, err := New(cfg)
+	if err != nil {
+		t.Fatalf("second resume: %v", err)
+	}
+	res, err := c3.Run(context.Background())
+	if err != nil {
+		t.Fatalf("second resume run: %v", err)
+	}
+	got, err := os.ReadFile(cfg.Merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wantJournal) {
+		t.Fatal("merged journal after two resumes differs from single-node checkpoint")
+	}
+	if rb, _ := json.Marshal(res); !bytes.Equal(rb, wantResult) {
+		t.Fatalf("result after two resumes differs\nfleet:  %s\nsingle: %s", rb, wantResult)
+	}
+}

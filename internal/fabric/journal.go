@@ -1,22 +1,18 @@
 package fabric
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"sync"
 
 	"github.com/cmlasu/unsync/internal/campaign"
+	"github.com/cmlasu/unsync/internal/journal"
 	"github.com/cmlasu/unsync/internal/serve"
 )
 
 // journalEvent is one line of the coordinator journal: the campaign
-// header, a lease-protocol event, or a received trial record. The file
-// is append-only JSONL with the same torn-tail tolerance as the
-// campaign checkpoint: a coordinator killed mid-append loses at most
-// its final line.
+// header, a lease-protocol event, or a received trial record, kept in
+// a journal.Log: a coordinator killed mid-append loses at most its
+// final line.
 //
 // Durability contract: lease-protocol events (campaign, lease, split,
 // fail, done, complete) are fsync'd as written — they are the state a
@@ -58,60 +54,6 @@ const (
 	evComplete = "complete" // every trial received; merge may run
 )
 
-// journal is the coordinator's durable state: fsync'd protocol events
-// interleaved with flushed trial lines. The mutex guards only the
-// write itself (line atomicity); Sync runs outside it, exactly like
-// the serve jobs journal, so a stalled disk never serializes every
-// stream behind one fsync.
-type journal struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
-func openJournal(path string) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: open journal: %w", err)
-	}
-	return &journal{f: f}, nil
-}
-
-// append writes one event as a line. sync forces an fsync after the
-// write — required for every protocol event, optional for trial lines.
-func (j *journal) append(ev journalEvent, sync bool) error {
-	b, err := json.Marshal(ev)
-	if err != nil {
-		return fmt.Errorf("fabric: marshal journal event: %w", err)
-	}
-	b = append(b, '\n')
-	j.mu.Lock()
-	st, serr := j.f.Stat()
-	if serr != nil {
-		j.mu.Unlock()
-		return fmt.Errorf("fabric: journal stat: %w", serr)
-	}
-	if _, werr := j.f.Write(b); werr != nil {
-		// Roll back a short write so the journal stays line-aligned.
-		_ = j.f.Truncate(st.Size())
-		j.mu.Unlock()
-		return fmt.Errorf("fabric: journal write: %w", werr)
-	}
-	j.mu.Unlock()
-	if !sync {
-		return nil
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("fabric: journal sync: %w", err)
-	}
-	return nil
-}
-
-func (j *journal) close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
-
 // replayState is what a journal replay recovers: the campaign header
 // and every received trial record, keyed by trial index.
 type replayState struct {
@@ -123,69 +65,37 @@ type replayState struct {
 // different params key fail the replay (a fabric journal belongs to
 // exactly one campaign — unlike the shared single-node checkpoint,
 // mixing keys here can only mean the config changed under a resume).
-// Unparseable lines are tolerated only as the torn tail of a kill;
-// earlier ones fail loudly, mirroring the serve jobs journal.
+// The torn-tail policy is journal.Replay's.
 func replayJournal(path, key string) (replayState, error) {
 	st := replayState{done: map[int]*campaign.TrialRecord{}}
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return st, nil
-	}
-	if err != nil {
-		return st, fmt.Errorf("fabric: open journal: %w", err)
-	}
-	defer f.Close()
-
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var ev journalEvent
-		if uerr := json.Unmarshal(raw, &ev); uerr != nil {
-			if peekEOF(sc) {
-				break // torn tail from a killed coordinator
-			}
-			return st, fmt.Errorf("fabric: journal line %d: %w", line, uerr)
-		}
+	err := journal.Replay(path, func(ev journalEvent) error {
 		switch ev.Event {
 		case evCampaign:
 			if ev.Key != key {
-				return st, fmt.Errorf("%w: journal %s was written for params key %s, this campaign derives %s — the program, scheme, seed, spaces, budgets or trial timeout changed under -resume",
+				return fmt.Errorf("%w: journal %s was written for params key %s, this campaign derives %s — the program, scheme, seed, spaces, budgets or trial timeout changed under -resume",
 					campaign.ErrKeyMismatch, path, ev.Key, key)
 			}
-			e := ev
-			st.header = &e
+			st.header = &ev
 		case evTrial:
 			if ev.Rec == nil {
-				return st, fmt.Errorf("fabric: journal line %d: trial event without a record", line)
+				return errors.New("trial event without a record")
 			}
 			if ev.Rec.Key != key {
-				return st, fmt.Errorf("%w: journal %s trial %d carries key %s, want %s",
+				return fmt.Errorf("%w: journal %s trial %d carries key %s, want %s",
 					campaign.ErrKeyMismatch, path, ev.Rec.Index, ev.Rec.Key, key)
 			}
-			rec := *ev.Rec
-			st.done[rec.Index] = &rec
+			st.done[ev.Rec.Index] = ev.Rec
 		case evLease, evSplit, evFail, evDone, evComplete:
 			// Lease-protocol history: informative for the artifact log,
 			// not needed for resume — the done map alone decides what is
 			// left to lease.
 		default:
-			return st, fmt.Errorf("fabric: journal line %d: unknown event %q", line, ev.Event)
+			return fmt.Errorf("unknown event %q", ev.Event)
 		}
-	}
-	if serr := sc.Err(); serr != nil {
-		return st, fmt.Errorf("fabric: read journal: %w", serr)
+		return nil
+	})
+	if err != nil {
+		return st, fmt.Errorf("fabric: journal %w", err)
 	}
 	return st, nil
-}
-
-// peekEOF reports whether the scanner has no further lines — i.e. the
-// just-failed line is the file's torn tail.
-func peekEOF(sc *bufio.Scanner) bool {
-	return !sc.Scan() && sc.Err() == nil
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // TestReplayJournalCorruptionCorpus runs the shared tail-corruption
-// corpus against the coordinator-journal replay. Like the serve jobs
-// journal this is a STRICT loader: corruption is tolerated only on the
-// file's final line, where a killed coordinator leaves it.
+// corpus against the coordinator-journal replay: corruption is
+// tolerated only on the file's final line, where a killed coordinator
+// leaves it.
 func TestReplayJournalCorruptionCorpus(t *testing.T) {
 	const key = "deadbeef"
 	marshal := func(ev journalEvent) []byte {
@@ -27,7 +27,7 @@ func TestReplayJournalCorruptionCorpus(t *testing.T) {
 			Key: key, Index: i, Space: "int-reg", Step: uint64(i + 1), Attempts: 1, Outcome: "benign",
 		}}))
 	}
-	journaltest.Check(t, lines, true, func(path string) (int, error) {
+	journaltest.Check(t, lines, func(path string) (int, error) {
 		st, err := replayJournal(path, key)
 		if err != nil {
 			return 0, err

@@ -1,12 +1,11 @@
 package fabric
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 
 	"github.com/cmlasu/unsync/internal/campaign"
+	"github.com/cmlasu/unsync/internal/journal"
 )
 
 // merge turns the deduped record map into the campaign's aggregate
@@ -16,8 +15,8 @@ import (
 // record derives from (Seed, trial index, attempt) alone, so for a
 // given params key there is exactly one valid record per index — the
 // dedupe in record() keeps the first arrival and verifies later copies
-// byte-identical. Sorting by index and re-marshalling each record with
-// the same json.Marshal the single-node journalWriter uses therefore
+// byte-identical. Sorting by index and re-encoding each record with
+// the same journal.Line the single-node checkpoint uses therefore
 // reproduces a single-node -workers 1 checkpoint journal byte for
 // byte, and campaign.AggregateRecords folds the same records through
 // the same index-ordered aggregation as a single-node finish.
@@ -45,7 +44,7 @@ func (c *Coordinator) merge() (campaign.Result, error) {
 	if err != nil {
 		return res, err
 	}
-	if jerr := c.jn.append(journalEvent{Event: evComplete, Trials: len(recs)}, true); jerr != nil {
+	if jerr := c.jn.Append(journalEvent{Event: evComplete, Trials: len(recs)}, true); jerr != nil {
 		return res, jerr
 	}
 	c.logf("complete: %d trials merged (%d leases, %d re-leases, %d splits, %d duplicate records)",
@@ -53,25 +52,24 @@ func (c *Coordinator) merge() (campaign.Result, error) {
 	return res, nil
 }
 
-// writeMerged writes the canonical merged journal: one marshalled
-// TrialRecord per line in trial-index order — the byte stream a
+// writeMerged writes the canonical merged journal: one journal.Line
+// per TrialRecord in trial-index order — the byte stream a
 // single-node -workers 1 run journals. Written whole then fsync'd; the
 // coordinator journal, not this file, is the durable state.
 func writeMerged(path string, recs []*campaign.TrialRecord) error {
-	var buf bytes.Buffer
+	var buf []byte
 	for _, rec := range recs {
-		b, err := json.Marshal(rec)
+		line, err := journal.Line(rec)
 		if err != nil {
-			return fmt.Errorf("fabric: marshal merged record %d: %w", rec.Index, err)
+			return fmt.Errorf("fabric: merged record %d: %w", rec.Index, err)
 		}
-		buf.Write(b)
-		buf.WriteByte('\n')
+		buf = append(buf, line...)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("fabric: create merged journal: %w", err)
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
+	if _, err := f.Write(buf); err != nil {
 		f.Close()
 		return fmt.Errorf("fabric: write merged journal: %w", err)
 	}

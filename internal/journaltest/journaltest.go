@@ -1,13 +1,17 @@
 // Package journaltest generates tail-corruption scenarios for the
 // repository's append-only JSONL journals (the campaign checkpoint,
-// the serve jobs journal, the fabric coordinator journal). All three
-// share one durability design — every record is a newline-terminated
-// line, flushed as written — so all three must tolerate exactly one
-// corruption shape: a final unterminated line, the fragment a SIGKILL
-// mid-append leaves behind. This package builds those shapes (and the
-// adjacent ones that are NOT torn tails) so each journal's loader can
-// table-test and fuzz its own tolerance policy against a common
-// corpus instead of hand-rolling corruption cases.
+// the serve jobs journal, the fabric coordinator journal and the
+// stream dead-letter queue). All four are internal/journal logs, so
+// all four must tolerate exactly one corruption shape: a final
+// unparseable line, the fragment a SIGKILL mid-append leaves behind.
+// Corruption anywhere earlier cannot come from a kill — a line's
+// newline lands only with a complete write, and journal.Open trims a
+// torn tail before the next append — so every loader must fail it
+// loudly. Lines a loader does not want, such as another spec's records
+// in a shared checkpoint, are well-formed and never garbage. This
+// package builds those shapes so each journal's loader can table-test
+// and fuzz the policy against a common corpus instead of hand-rolling
+// corruption cases.
 package journaltest
 
 import (
@@ -33,11 +37,8 @@ type Case struct {
 	// newline-TERMINATED garbage final line counts: scanner-based
 	// loaders see it exactly as they see a torn fragment, and the
 	// append paths never produce one anyway.) Cases with
-	// TornTail=false hold corruption strictly BEFORE valid lines;
-	// loaders differ there by design: the campaign checkpoint skips
-	// foreign garbage silently because journals are shared across
-	// specs, while the serve and fabric journals fail loudly because
-	// mid-file corruption can only mean the file was damaged.
+	// TornTail=false hold corruption strictly BEFORE valid lines,
+	// which can only mean the file was damaged.
 	TornTail bool
 }
 
@@ -101,7 +102,7 @@ func TailCases(lines [][]byte) []Case {
 		},
 		// Mid-file garbage followed by valid lines cannot come from a
 		// kill — the newline lands only after a complete write — so
-		// strict loaders must fail it loudly.
+		// loaders must fail it loudly.
 		Case{
 			Name:     "garbage-line-mid-file",
 			Data:     append([]byte("!!corrupt!!\n"), journal(n)...),
@@ -116,10 +117,8 @@ func TailCases(lines [][]byte) []Case {
 // the intact journal lines (without trailing newlines); load reads the
 // journal at path and returns how many records it recovered. Every
 // loader must recover exactly Intact records from TornTail cases with
-// no error. For mid-file corruption, strict loaders must return an
-// error while lenient ones must still recover exactly the intact
-// records.
-func Check(t *testing.T, lines [][]byte, strict bool, load func(path string) (int, error)) {
+// no error, and must return an error for mid-file corruption.
+func Check(t *testing.T, lines [][]byte, load func(path string) (int, error)) {
 	t.Helper()
 	for _, tc := range TailCases(lines) {
 		t.Run(tc.Name, func(t *testing.T) {
@@ -128,9 +127,9 @@ func Check(t *testing.T, lines [][]byte, strict bool, load func(path string) (in
 				t.Fatal(err)
 			}
 			n, err := load(path)
-			if !tc.TornTail && strict {
+			if !tc.TornTail {
 				if err == nil {
-					t.Fatalf("strict loader accepted mid-file corruption (recovered %d records)", n)
+					t.Fatalf("loader accepted mid-file corruption (recovered %d records)", n)
 				}
 				return
 			}

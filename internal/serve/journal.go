@@ -1,24 +1,20 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
 	"time"
 
+	"github.com/cmlasu/unsync/internal/journal"
 	"github.com/cmlasu/unsync/internal/resilience"
 )
 
 // jobEvent is one line of the jobs journal: a submit (full request) or
-// a state transition. The journal is append-only JSONL — the same
-// durability design as the campaign checkpoint (PR 4): every event is
-// flushed as written, a torn tail from a kill is tolerated on load,
-// and replaying the file reconstructs every job's latest state.
+// a state transition, kept in a journal.Log: every event is fsync'd as
+// written, and replaying the file reconstructs every job's latest
+// state.
 type jobEvent struct {
 	Event string `json:"event"` // "submit" or "state"
 	Seq   uint64 `json:"seq,omitempty"`
@@ -34,114 +30,31 @@ type jobEvent struct {
 	Result json.RawMessage `json:"result,omitempty"`
 }
 
-// jobJournal appends job events durably and replays them at startup.
-type jobJournal struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
 // journalRetry is the backoff schedule for journal appends: a
 // transient filesystem error (EINTR, brief ENOSPC) should not lose a
 // job transition when a short retry absorbs it.
 var journalRetry = resilience.Backoff{Base: 10 * time.Millisecond, Max: 200 * time.Millisecond, Attempts: 3}
 
-// openJournal opens (creating if absent) the jobs journal for append.
-func openJournal(path string) (*jobJournal, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("serve: journal dir: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("serve: open journal: %w", err)
-	}
-	return &jobJournal{f: f}, nil
-}
-
-// append writes one event and flushes it to the OS: a job transition
-// survives a SIGKILL the instant append returns.
-//
-// The mutex guards only line-atomicity of the write itself. The retry
-// sleeps and the fsync happen outside it: a stalled disk must not make
-// every other job's transition queue behind this one's backoff, and
-// Sync flushes the whole file, so a concurrent append's bytes are
-// flushed either by its own Sync or by ours — both orders are durable.
-func (j *jobJournal) append(ev jobEvent) error {
-	b, err := json.Marshal(ev)
-	if err != nil {
-		return fmt.Errorf("serve: marshal journal event: %w", err)
-	}
-	b = append(b, '\n')
+// appendEvent writes one event and fsyncs it: a job transition
+// survives a SIGKILL the instant appendEvent returns. The retry sleeps
+// run outside the journal's lock, so a stalled disk never makes every
+// other job's transition queue behind this one's backoff.
+func appendEvent(jn *journal.Log, ev jobEvent) error {
 	return resilience.Retry(context.Background(), journalRetry, func(context.Context) error {
-		if err := j.write(b); err != nil {
-			return err
-		}
-		return j.f.Sync()
+		return jn.Append(ev, true)
 	})
-}
-
-// write appends one marshalled line under the mutex. A short write
-// rolls the file back to its pre-write size so a retry (or a later
-// append from another job) never interleaves with a torn fragment:
-// the journal stays line-aligned even across in-process write errors,
-// not just across kills.
-func (j *jobJournal) write(b []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st, err := j.f.Stat()
-	if err != nil {
-		return err
-	}
-	if _, werr := j.f.Write(b); werr != nil {
-		_ = j.f.Truncate(st.Size())
-		return werr
-	}
-	return nil
-}
-
-// close closes the journal file.
-func (j *jobJournal) close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
 }
 
 // loadJournal replays the jobs journal: it returns every job keyed by
 // ID at its latest recorded state, in submit order, plus the highest
-// sequence number seen. A torn final line (a crash mid-append) is
-// skipped; any other malformed line fails the load loudly.
+// sequence number seen. The torn-tail policy is journal.Replay's.
 func loadJournal(path string) (jobs []*Job, maxSeq uint64, err error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("serve: open journal: %w", err)
-	}
-	defer f.Close()
-
 	byID := map[string]*Job{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var ev jobEvent
-		if uerr := json.Unmarshal(raw, &ev); uerr != nil {
-			// A torn tail is expected after a kill; anything earlier is
-			// corruption worth failing over.
-			if peekEOF(sc) {
-				break
-			}
-			return nil, 0, fmt.Errorf("serve: journal line %d: %w", line, uerr)
-		}
+	err = journal.Replay(path, func(ev jobEvent) error {
 		switch ev.Event {
 		case "submit":
 			if ev.Request == nil {
-				return nil, 0, fmt.Errorf("serve: journal line %d: submit without request", line)
+				return errors.New("submit without request")
 			}
 			job := &Job{
 				ID:         ev.ID,
@@ -152,13 +65,11 @@ func loadJournal(path string) (jobs []*Job, maxSeq uint64, err error) {
 			}
 			byID[ev.ID] = job
 			jobs = append(jobs, job)
-			if ev.Seq > maxSeq {
-				maxSeq = ev.Seq
-			}
+			maxSeq = max(maxSeq, ev.Seq)
 		case "state":
 			job, ok := byID[ev.ID]
 			if !ok {
-				return nil, 0, fmt.Errorf("serve: journal line %d: state for unknown job %s", line, ev.ID)
+				return fmt.Errorf("state for unknown job %s", ev.ID)
 			}
 			job.State = ev.State
 			job.Error = ev.Error
@@ -166,17 +77,12 @@ func loadJournal(path string) (jobs []*Job, maxSeq uint64, err error) {
 				job.Result = ev.Result
 			}
 		default:
-			return nil, 0, fmt.Errorf("serve: journal line %d: unknown event %q", line, ev.Event)
+			return fmt.Errorf("unknown event %q", ev.Event)
 		}
-	}
-	if serr := sc.Err(); serr != nil {
-		return nil, 0, fmt.Errorf("serve: read journal: %w", serr)
+		return nil
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("serve: journal %w", err)
 	}
 	return jobs, maxSeq, nil
-}
-
-// peekEOF reports whether the scanner has no further lines — i.e. the
-// just-failed line is the file's torn tail.
-func peekEOF(sc *bufio.Scanner) bool {
-	return !sc.Scan() && sc.Err() == nil
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -34,13 +35,13 @@ func journalLines(t testing.TB, n int) [][]byte {
 }
 
 // TestLoadJournalCorruptionCorpus runs the shared tail-corruption
-// corpus against the jobs-journal loader. This is the STRICT loader:
-// a torn (or garbage) final line is the expected residue of a kill and
-// is skipped, but corruption followed by valid lines means the file
-// was damaged and must fail the load loudly.
+// corpus against the jobs-journal loader: a torn (or garbage) final
+// line is the expected residue of a kill and is skipped, but
+// corruption followed by valid lines means the file was damaged and
+// must fail the load loudly.
 func TestLoadJournalCorruptionCorpus(t *testing.T) {
 	lines := journalLines(t, 9)
-	journaltest.Check(t, lines, true, func(path string) (int, error) {
+	journaltest.Check(t, lines, func(path string) (int, error) {
 		jobs, _, err := loadJournal(path)
 		return len(jobs), err
 	})
@@ -76,4 +77,33 @@ func FuzzLoadJournalTornTail(f *testing.F) {
 			t.Fatalf("maxSeq = %d, want %d", maxSeq, len(lines))
 		}
 	})
+}
+
+// A torn tail left by a kill must not corrupt the journal for the next
+// restart: the first restart's appends must not be glued onto the
+// fragment, or the second restart fails on a garbage line mid-file.
+func TestTornJournalSurvivesTwoRestarts(t *testing.T) {
+	stateDir := t.TempDir()
+	torn := `{"event":"submit","seq":1,"id":"job-` // no newline: a kill mid-append
+	if err := os.WriteFile(filepath.Join(stateDir, "jobs.jsonl"), []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runner := func(ctx context.Context, job *Job) (json.RawMessage, error) {
+		return json.RawMessage(`{"answer":42}`), nil
+	}
+	srv, ts := newTestServer(t, Config{StateDir: stateDir, Runner: runner})
+	_, job := submit(t, ts, campaignReq(3))
+	waitState(t, ts, job.ID, StateDone)
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+
+	srv2, ts2 := newTestServer(t, Config{StateDir: stateDir, Runner: runner})
+	if got := getJob(t, ts2, job.ID); got.State != StateDone {
+		t.Fatalf("job after restart: %s, want done", got.State)
+	}
+	if err := srv2.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/cmlasu/unsync/internal/campaign"
+	"github.com/cmlasu/unsync/internal/journal"
 	"github.com/cmlasu/unsync/internal/resilience"
 	"github.com/cmlasu/unsync/internal/stream"
 )
@@ -88,7 +89,7 @@ type Server struct {
 	runner  Runner
 	gate    *resilience.Gate
 	breaker *resilience.Breaker
-	journal *jobJournal
+	journal *journal.Log
 	mux     *http.ServeMux
 
 	// jobsCtx is the parent of every job context; drainCause cancels
@@ -122,26 +123,26 @@ func New(cfg Config) (*Server, error) {
 	if cfg.StateDir == "" {
 		return nil, errors.New("serve: Config.StateDir is required")
 	}
-	prior, maxSeq, err := loadJournal(filepath.Join(cfg.StateDir, "jobs.jsonl"))
+	for _, dir := range []string{"checkpoints", "dlq"} {
+		if err := os.MkdirAll(filepath.Join(cfg.StateDir, dir), 0o755); err != nil {
+			return nil, fmt.Errorf("serve: %s dir: %w", dir, err)
+		}
+	}
+	path := filepath.Join(cfg.StateDir, "jobs.jsonl")
+	prior, maxSeq, err := loadJournal(path)
 	if err != nil {
 		return nil, err
 	}
-	journal, err := openJournal(filepath.Join(cfg.StateDir, "jobs.jsonl"))
+	jn, err := journal.Open(path)
 	if err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(filepath.Join(cfg.StateDir, "checkpoints"), 0o755); err != nil {
-		return nil, fmt.Errorf("serve: checkpoint dir: %w", err)
-	}
-	if err := os.MkdirAll(filepath.Join(cfg.StateDir, "dlq"), 0o755); err != nil {
-		return nil, fmt.Errorf("serve: dlq dir: %w", err)
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	ctx, cancel := context.WithCancelCause(context.Background())
 	s := &Server{
 		cfg:        cfg,
 		gate:       resilience.NewGate(cfg.MaxConcurrent, cfg.QueueDepth),
 		breaker:    resilience.NewBreaker(cfg.Breaker),
-		journal:    journal,
+		journal:    jn,
 		jobsCtx:    ctx,
 		drainCause: cancel,
 		jobs:       map[string]*Job{},
@@ -292,7 +293,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	seq := s.seq
 	s.mu.Unlock()
 
-	if err := s.journal.append(jobEvent{
+	if err := appendEvent(s.journal, jobEvent{
 		Event: "submit", Seq: seq, ID: job.ID,
 		Request: &job.Request, DeadlineMS: job.DeadlineMS,
 	}); err != nil {
@@ -395,7 +396,7 @@ func (s *Server) setState(job *Job, state JobState, msg string, result json.RawM
 		job.Result = result
 	}
 	s.mu.Unlock()
-	if err := s.journal.append(jobEvent{Event: "state", ID: job.ID, State: state, Error: msg, Result: result}); err != nil {
+	if err := appendEvent(s.journal, jobEvent{Event: "state", ID: job.ID, State: state, Error: msg, Result: result}); err != nil {
 		// The in-memory state is still correct; a restart may redo the
 		// transition. Resumable by design, so log-and-continue would be
 		// the production move — with no logger dependency, the error is
@@ -475,7 +476,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		err = fmt.Errorf("serve: drain cut short: %w", context.Cause(ctx))
 	}
-	if cerr := s.journal.close(); cerr != nil && err == nil {
+	if cerr := s.journal.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
 	return err

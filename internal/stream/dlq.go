@@ -1,15 +1,13 @@
 package stream
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 
 	"github.com/cmlasu/unsync/internal/campaign"
 	"github.com/cmlasu/unsync/internal/fault"
+	"github.com/cmlasu/unsync/internal/journal"
 )
 
 // DLQ reasons.
@@ -48,18 +46,18 @@ func DeadReason(rec campaign.TrialRecord) (string, bool) {
 }
 
 // DLQ is the dead-letter queue: an fsync'd JSONL sidecar of Entry
-// lines. Opening an existing sidecar replays it first, so a restarted
-// coordinator (or a resumed campaign replaying its journal through the
-// plane) never writes the same trial twice — the sidecar only grows by
-// genuinely new failures. Every append is fsync'd before Offer
-// returns: a dead-lettered trial survives a kill the same way a
-// journaled one does.
+// lines, kept in a journal.Log. Opening an existing sidecar replays it
+// first, so a restarted coordinator (or a resumed campaign replaying
+// its journal through the plane) never writes the same trial twice —
+// the sidecar only grows by genuinely new failures. Every append is
+// fsync'd before Offer returns: a dead-lettered trial survives a kill
+// the same way a journaled one does.
 //
 // A DLQ opened with an empty path counts depth but persists nothing —
 // the counting-only mode behind progress readouts with no -dlq flag.
 type DLQ struct {
 	mu    sync.Mutex
-	f     *os.File // nil in counting-only mode
+	log   *journal.Log // nil in counting-only mode
 	seen  map[int]bool
 	depth atomic.Uint64
 }
@@ -87,81 +85,54 @@ func OpenDLQ(path, key string) (*DLQ, error) {
 			q.depth.Add(1)
 		}
 	}
-	q.f, err = os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("stream: open dlq: %w", err)
+	if q.log, err = journal.Open(path); err != nil {
+		return nil, fmt.Errorf("stream: dlq: %w", err)
 	}
 	return q, nil
 }
 
-// ReadDLQ loads every well-formed entry of a sidecar. A missing file
-// is empty, not an error; an unparseable line — the torn tail of a
-// killed writer — is skipped, exactly like the campaign journal
-// loader.
+// ReadDLQ loads every entry of a sidecar. A missing file is empty, not
+// an error; the torn-tail policy is journal.Replay's.
 func ReadDLQ(path string) ([]Entry, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("stream: open dlq: %w", err)
-	}
-	defer f.Close()
 	var out []Entry
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			continue // torn tail from a killed writer
-		}
+	err := journal.Replay(path, func(e Entry) error {
 		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("stream: read dlq: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("stream: dlq %w", err)
 	}
 	return out, nil
 }
 
 // Offer dead-letters rec if it classifies as dead and has not been
 // captured before. It reports whether an entry was written (or, in
-// counting-only mode, counted). The write is fsync'd before return;
-// like the fabric journal, the mutex guards only line atomicity and
-// the fsync runs outside it, so a stalled disk never serializes
-// readers of Depth behind one sync.
+// counting-only mode, counted). The write is fsync'd before return.
+// The index is claimed under the mutex and the append runs outside it,
+// so a stalled disk never blocks Close behind one fsync; a failed
+// append releases the claim.
 func (q *DLQ) Offer(rec campaign.TrialRecord) (bool, error) {
 	reason, dead := DeadReason(rec)
 	if !dead {
 		return false, nil
-	}
-	b, err := json.Marshal(Entry{Reason: reason, Rec: rec})
-	if err != nil {
-		return false, fmt.Errorf("stream: marshal dlq entry: %w", err)
 	}
 	q.mu.Lock()
 	if q.seen[rec.Index] {
 		q.mu.Unlock()
 		return false, nil
 	}
-	f := q.f
-	if f != nil {
-		if _, err := f.Write(append(b, '\n')); err != nil {
-			q.mu.Unlock()
-			return false, fmt.Errorf("stream: append dlq entry %d: %w", rec.Index, err)
-		}
-	}
 	q.seen[rec.Index] = true
-	q.depth.Add(1)
+	log := q.log
 	q.mu.Unlock()
-	if f != nil {
-		if err := f.Sync(); err != nil {
-			return true, fmt.Errorf("stream: sync dlq: %w", err)
+	if log != nil {
+		if err := log.Append(Entry{Reason: reason, Rec: rec}, true); err != nil {
+			q.mu.Lock()
+			delete(q.seen, rec.Index)
+			q.mu.Unlock()
+			return false, fmt.Errorf("stream: dlq entry %d: %w", rec.Index, err)
 		}
 	}
+	q.depth.Add(1)
 	return true, nil
 }
 
@@ -174,10 +145,10 @@ func (q *DLQ) Depth() uint64 { return q.depth.Load() }
 func (q *DLQ) Close() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.f == nil {
+	if q.log == nil {
 		return nil
 	}
-	err := q.f.Close()
-	q.f = nil
+	err := q.log.Close()
+	q.log = nil
 	return err
 }

@@ -134,12 +134,12 @@ func dlqLines(t testing.TB, n int) [][]byte {
 	return lines
 }
 
-// The sidecar loader rides the lenient path of the repository-wide
-// corruption corpus: torn tails are skipped, mid-file garbage is
-// skipped too (the sidecar is shared across campaigns, like the
-// campaign checkpoint), and intact entries always survive.
+// The sidecar loader runs the repository-wide corruption corpus: torn
+// tails are skipped and mid-file garbage fails the load. Another
+// campaign's entries in a shared sidecar are well-formed lines, not
+// garbage.
 func TestDLQReadCorruptionCorpus(t *testing.T) {
-	journaltest.Check(t, dlqLines(t, 3), false, func(path string) (int, error) {
+	journaltest.Check(t, dlqLines(t, 3), func(path string) (int, error) {
 		entries, err := ReadDLQ(path)
 		return len(entries), err
 	})

@@ -11,7 +11,7 @@ import (
 // writer can never backpressure the plane's pump. Progress frames are
 // cosmetic — the next one supersedes the last — which is exactly the
 // traffic this tradeoff is safe for; anything on the accounting path
-// belongs in a Block-policy Pipe instead.
+// belongs in a Pipe instead.
 //
 // Publish and Close follow a single-sender discipline: only the
 // plane's pump goroutine calls them, which is what makes closing a

@@ -7,65 +7,29 @@ import (
 	"github.com/cmlasu/unsync/internal/campaign"
 )
 
-// Policy is a Pipe's overflow behavior when its buffer is full.
-type Policy int
-
-const (
-	// Block backpressures the producer until the consumer drains a
-	// slot or the context dies. Nothing is ever lost; the producer's
-	// pace is bounded by the consumer's. This is the correct policy for
-	// anything on the accounting path (DLQ capture, convergence
-	// tracking) — dropping there would silently skew the statistics the
-	// plane exists to make trustworthy.
-	Block Policy = iota
-	// Drop sheds the record on a full buffer and counts it. The
-	// producer never waits. This is the correct policy only for purely
-	// cosmetic taps (progress frames), where a stalled consumer must
-	// not slow trial execution.
-	Drop
-)
-
-// String names the policy for diagnostics.
-func (p Policy) String() string {
-	if p == Drop {
-		return "drop"
-	}
-	return "block"
-}
-
 // Pipe is the bounded-buffer stage at the head of a streaming
-// pipeline: producers Send, one consumer drains Out. The buffer bound
-// and overflow policy are explicit — an unbounded queue just moves the
-// overload somewhere invisible.
+// pipeline: producers Send, one consumer drains Out. A full buffer
+// backpressures the producer until the consumer drains a slot, so
+// nothing on the accounting path (DLQ capture, convergence tracking)
+// is ever lost; an unbounded queue would just move the overload
+// somewhere invisible.
 type Pipe struct {
 	ch      chan campaign.TrialRecord
-	policy  Policy
 	dropped atomic.Uint64
 }
 
-// NewPipe builds a pipe with the given buffer depth (minimum 1) and
-// overflow policy.
-func NewPipe(depth int, policy Policy) *Pipe {
+// NewPipe builds a pipe with the given buffer depth (minimum 1).
+func NewPipe(depth int) *Pipe {
 	if depth < 1 {
 		depth = 1
 	}
-	return &Pipe{ch: make(chan campaign.TrialRecord, depth), policy: policy}
+	return &Pipe{ch: make(chan campaign.TrialRecord, depth)}
 }
 
-// Send offers one record to the pipe. Under Block it waits for buffer
-// space, giving up only when ctx dies; under Drop it never waits.
-// It returns false when the record was not enqueued (dropped, or the
-// context died first) — either way the loss is counted in Dropped.
+// Send offers one record to the pipe, waiting for buffer space and
+// giving up only when ctx dies. It returns false when the context died
+// first; the loss is counted in Dropped.
 func (p *Pipe) Send(ctx context.Context, rec campaign.TrialRecord) bool {
-	if p.policy == Drop {
-		select {
-		case p.ch <- rec:
-			return true
-		default:
-			p.dropped.Add(1)
-			return false
-		}
-	}
 	select {
 	case p.ch <- rec:
 		return true
@@ -80,9 +44,6 @@ func (p *Pipe) Send(ctx context.Context, rec campaign.TrialRecord) bool {
 // signal.
 func (p *Pipe) Out() <-chan campaign.TrialRecord { return p.ch }
 
-// Dropped counts records lost to the overflow policy or to a shutdown
-// race. Safe to read concurrently.
+// Dropped counts records lost to a shutdown race. Safe to read
+// concurrently.
 func (p *Pipe) Dropped() uint64 { return p.dropped.Load() }
-
-// Len reports the records currently buffered.
-func (p *Pipe) Len() int { return len(p.ch) }

@@ -34,7 +34,7 @@ func failedRec(idx int) campaign.TrialRecord {
 }
 
 func TestPipeBlockBackpressuresUntilDrained(t *testing.T) {
-	p := NewPipe(1, Block)
+	p := NewPipe(1)
 	ctx := context.Background()
 	if !p.Send(ctx, rec(0, "benign")) {
 		t.Fatal("first send into empty pipe refused")
@@ -44,7 +44,7 @@ func TestPipeBlockBackpressuresUntilDrained(t *testing.T) {
 	go func() { sent <- p.Send(ctx, rec(1, "benign")) }()
 	select {
 	case <-sent:
-		t.Fatal("send into a full Block pipe returned before a drain")
+		t.Fatal("send into a full pipe returned before a drain")
 	default:
 	}
 	if got := (<-p.Out()).Index; got != 0 {
@@ -54,12 +54,12 @@ func TestPipeBlockBackpressuresUntilDrained(t *testing.T) {
 		t.Fatal("blocked send reported failure after the drain")
 	}
 	if p.Dropped() != 0 {
-		t.Fatalf("Block pipe dropped %d records", p.Dropped())
+		t.Fatalf("pipe dropped %d records", p.Dropped())
 	}
 }
 
 func TestPipeBlockGivesUpOnDeadContext(t *testing.T) {
-	p := NewPipe(1, Block)
+	p := NewPipe(1)
 	p.Send(context.Background(), rec(0, "benign")) // fill the buffer
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -71,26 +71,12 @@ func TestPipeBlockGivesUpOnDeadContext(t *testing.T) {
 	}
 }
 
-func TestPipeDropNeverWaits(t *testing.T) {
-	p := NewPipe(2, Drop)
-	ctx := context.Background()
-	accepted := 0
-	for i := 0; i < 5; i++ {
-		if p.Send(ctx, rec(i, "benign")) {
-			accepted++
-		}
-	}
-	if accepted != 2 || p.Dropped() != 3 || p.Len() != 2 {
-		t.Fatalf("accepted=%d dropped=%d len=%d, want 2/3/2", accepted, p.Dropped(), p.Len())
-	}
-}
-
-// A burst from many concurrent producers through a small Block pipe
+// A burst from many concurrent producers through a small pipe
 // must deliver every record exactly once. Run under -race this is also
 // the pipe's data-race check.
 func TestPipeBurstConcurrentProducers(t *testing.T) {
 	const producers, perProducer = 8, 50
-	p := NewPipe(4, Block)
+	p := NewPipe(4)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for w := 0; w < producers; w++ {
@@ -112,6 +98,6 @@ func TestPipeBurstConcurrentProducers(t *testing.T) {
 	}
 	wg.Wait()
 	if p.Dropped() != 0 {
-		t.Fatalf("Block pipe dropped %d records under burst", p.Dropped())
+		t.Fatalf("pipe dropped %d records under burst", p.Dropped())
 	}
 }

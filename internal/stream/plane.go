@@ -9,9 +9,9 @@ import (
 	"github.com/cmlasu/unsync/internal/campaign"
 )
 
-// PlaneConfig configures a Plane. The zero value is usable: Block
-// inlet policy, 128-record window, 95% Wilson interval, wall clock,
-// counting-only DLQ, a frame per record.
+// PlaneConfig configures a Plane. The zero value is usable: 128-record
+// window, 95% Wilson interval, wall clock, counting-only DLQ, a frame
+// per record.
 type PlaneConfig struct {
 	// Window is the sliding-window size in records (default 128).
 	Window int
@@ -19,11 +19,6 @@ type PlaneConfig struct {
 	Z float64
 	// Buffer is the inlet pipe depth (default 256).
 	Buffer int
-	// Policy is the inlet overflow policy. Block (the default) is the
-	// only policy that keeps the DLQ and convergence counts lossless;
-	// Drop exists for purely observational taps on streams the caller
-	// accounts for elsewhere.
-	Policy Policy
 	// DLQ is the dead-letter sidecar path; empty selects counting-only
 	// mode (depth is tracked, nothing persists).
 	DLQ string
@@ -51,7 +46,7 @@ type Frame struct {
 	WindowLen  int     `json:"window_len"`  // records currently in the window
 	WindowRate float64 `json:"window_rate"` // SDC rate over the window
 	DLQDepth   uint64  `json:"dlq_depth"`   // distinct dead-lettered trials
-	Dropped    uint64  `json:"dropped"`     // inlet records shed (Drop policy / shutdown race)
+	Dropped    uint64  `json:"dropped"`     // inlet records lost to a shutdown race
 	Duplicates uint64  `json:"duplicates"`  // bit-identical replays absorbed
 	Final      bool    `json:"final,omitempty"`
 }
@@ -116,7 +111,7 @@ func NewPlane(cfg PlaneConfig) (*Plane, error) {
 		return nil, err
 	}
 	p := &Plane{
-		in:       NewPipe(cfg.Buffer, cfg.Policy),
+		in:       NewPipe(cfg.Buffer),
 		dedupe:   NewDedupe(),
 		window:   NewWindow(cfg.Window),
 		tracker:  NewTracker(cfg.Z),
@@ -130,9 +125,9 @@ func NewPlane(cfg PlaneConfig) (*Plane, error) {
 	return p, nil
 }
 
-// Observe offers one trial record to the plane. Under the Block inlet
-// policy it waits for buffer space (bounded by the pump's drain rate,
-// never by any subscriber); under Drop it returns immediately. Nil-safe.
+// Observe offers one trial record to the plane. It waits for inlet
+// buffer space (bounded by the pump's drain rate, never by any
+// subscriber). Nil-safe.
 func (p *Plane) Observe(rec campaign.TrialRecord) {
 	if p == nil {
 		return

@@ -7,9 +7,8 @@
 // terminal errors.Join. The operators here turn the live trial stream
 // into something observable and lossless while it is still running:
 //
-//   - Pipe: a bounded-buffer stage with an explicit overflow policy —
-//     Block (backpressure the producer; nothing is ever lost) or Drop
-//     (never stall the producer; count what was shed);
+//   - Pipe: a bounded-buffer stage that backpressures the producer on
+//     a full buffer, so nothing is ever lost;
 //   - Window: sliding count-window SDC-rate aggregation, so a rate
 //     drift late in a campaign is visible against the lifetime rate;
 //   - Tracker: live Wilson-CI convergence tracking (internal/stats),
