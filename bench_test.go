@@ -13,7 +13,7 @@ import (
 
 	"testing"
 
-	"github.com/cmlasu/unsync/internal/benchkit"
+	"github.com/cmlasu/unsync/internal/cmp"
 	"github.com/cmlasu/unsync/internal/experiments"
 	"github.com/cmlasu/unsync/internal/sweep"
 	"github.com/cmlasu/unsync/internal/trace"
@@ -144,21 +144,63 @@ func BenchmarkROEC(b *testing.B) {
 
 // ---- simulator microbenchmarks ----
 //
-// The four kernels live in internal/benchkit so that these benchmarks
-// and `unsync-bench -json` (which writes BENCH.json in CI) measure the
-// same code. Names are stable: CI selects them by regex.
+// Names are stable: CI selects them by regex. perfbench
+// (BENCHMARK.json) holds the gated end-to-end and per-layer numbers.
+
+// kernelProfile fetches a benchmark profile or fails the benchmark.
+func kernelProfile(b *testing.B, name string) trace.Profile {
+	p, ok := trace.ByName(name)
+	if !ok {
+		b.Fatalf("no %q profile", name)
+	}
+	return p
+}
+
+// runScheme is the shared body of the three pipeline kernels. Their
+// operating point, 2k warmup and 20k measured instructions on gzip, is
+// long enough to exercise steady-state commit and short enough to
+// iterate.
+func runScheme(b *testing.B, s cmp.Scheme) {
+	rc := DefaultRunConfig()
+	rc.WarmupInsts = 2_000
+	rc.MeasureInsts = 20_000
+	p := kernelProfile(b, "gzip")
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cycles uint64
+	for i := 0; i < b.N; i++ {
+		res, err := cmp.Run(s, rc, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cycles += res.Cycles
+	}
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(cycles)/secs, "sim-cycles/s")
+	}
+}
 
 // BenchmarkBaselineCore measures raw single-core simulation speed.
-func BenchmarkBaselineCore(b *testing.B) { benchkit.BaselineCore(b) }
+func BenchmarkBaselineCore(b *testing.B) { runScheme(b, cmp.Baseline) }
 
 // BenchmarkUnSyncPair measures redundant-pair simulation speed.
-func BenchmarkUnSyncPair(b *testing.B) { benchkit.UnSyncPair(b) }
+func BenchmarkUnSyncPair(b *testing.B) { runScheme(b, cmp.UnSync) }
 
 // BenchmarkReunionPair measures fingerprinted-pair simulation speed.
-func BenchmarkReunionPair(b *testing.B) { benchkit.ReunionPair(b) }
+func BenchmarkReunionPair(b *testing.B) { runScheme(b, cmp.Reunion) }
 
-// BenchmarkTraceGenerator measures workload-generation throughput.
-func BenchmarkTraceGenerator(b *testing.B) { benchkit.TraceGenerator(b) }
+// BenchmarkTraceGenerator measures workload-generation throughput (one
+// record per iteration).
+func BenchmarkTraceGenerator(b *testing.B) {
+	g := trace.NewGenerator(kernelProfile(b, "bzip2"))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := g.Next(); !ok {
+			b.Fatal("generator ended")
+		}
+	}
+}
 
 // BenchmarkEmulator measures functional-emulation throughput.
 func BenchmarkEmulator(b *testing.B) {

@@ -7,34 +7,27 @@
 //
 //	-run string     comma-separated experiments to run:
 //	                table1,table2,table3,fig4,fig5,fig6,ser,roec,coverage,
-//	                campaign,ablations,extensions,replicated,all
-//	                (default "all"). "campaign" measures fault-campaign
-//	                throughput through the batched lane engine against the
-//	                scalar reference path
+//	                extensions,replicated,ablations,events,all
+//	                (default "all"; "all" excludes replicated). "events"
+//	                is the hardware-counter study: a topdown slot
+//	                decomposition plus per-event counts and deltas vs the
+//	                baseline for every scheme. An unknown name exits 2
 //	-format string  output format: text, csv or markdown (default "text")
 //	-quick          scaled-down windows and benchmark subset
 //	-workers int    parallel simulation workers (default NumCPU)
 //	-trials int     functional injection trials per ROEC campaign (default 40)
-//	-events         run the hardware-counter event study: a topdown slot
-//	                decomposition plus per-event counts and deltas vs the
-//	                baseline for every scheme; included in the -json report
-//	-json           also run the benchkit kernels and write a machine-readable
-//	                report (see -benchout) with ns/op, allocs/op, simulated
-//	                cycles/s per kernel and wall time per figure
-//	-benchout path  report path for -json (default "BENCH.json")
-//	-nocache        regenerate traces per run instead of replaying the
-//	                shared materialization cache (for measuring the cache)
+//	-charts         also draw text charts for the figures
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	unsync "github.com/cmlasu/unsync"
-	"github.com/cmlasu/unsync/internal/benchkit"
 )
 
 // clockNow is the single injectable wall clock of the tool. It feeds
@@ -45,18 +38,52 @@ import (
 //unsync:allow-wallclock progress timing on stderr only; never feeds simulation state
 var clockNow = time.Now
 
+// steps lists every experiment -run can name, in output order.
+var steps = []string{"table1", "table2", "table3", "fig4", "fig5", "fig6",
+	"ser", "roec", "coverage", "extensions", "replicated", "ablations", "events"}
+
+// selectSteps parses a -run list into the set of steps to run. "all"
+// selects every step but replicated, which multiplies the Fig 4 cost by
+// the replica count and so runs only when named. Every name must be a
+// step or "all".
+func selectSteps(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(strings.ToLower(name))
+		switch {
+		case name == "":
+		case name == "all":
+			for _, s := range steps {
+				if s != "replicated" {
+					want[s] = true
+				}
+			}
+		case slices.Contains(steps, name):
+			want[name] = true
+		default:
+			return nil, fmt.Errorf("unknown experiment %q in -run", name)
+		}
+	}
+	if len(want) == 0 {
+		return nil, fmt.Errorf("nothing selected by -run=%q", list)
+	}
+	return want, nil
+}
+
 func main() {
-	runList := flag.String("run", "all", "experiments: table1,table2,table3,fig4,fig5,fig6,ser,roec,coverage,campaign,ablations,extensions,replicated,all")
+	runList := flag.String("run", "all", "experiments: "+strings.Join(steps, ",")+",all")
 	format := flag.String("format", "text", "output format: text, csv, markdown")
 	quick := flag.Bool("quick", false, "scaled-down smoke configuration")
 	workers := flag.Int("workers", 0, "parallel workers (0 = NumCPU)")
 	trials := flag.Int("trials", 40, "functional injection trials per ROEC campaign")
 	charts := flag.Bool("charts", false, "also draw text charts for the figures")
-	eventsOut := flag.Bool("events", false, "run the hardware-counter event study: topdown decomposition and per-event counts/deltas across schemes (included in the -json report)")
-	jsonOut := flag.Bool("json", false, "also run the benchkit kernels and write a BENCH.json report")
-	benchOut := flag.String("benchout", "BENCH.json", "report path for -json")
-	noCache := flag.Bool("nocache", false, "regenerate traces per run instead of replaying the shared cache")
 	flag.Parse()
+	want, err := selectSteps(*runList)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "unsync-bench: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	opts := unsync.DefaultOptions()
 	if *quick {
@@ -64,9 +91,6 @@ func main() {
 	}
 	if *workers > 0 {
 		opts.Workers = *workers
-	}
-	if *noCache {
-		opts.RC.Source = nil // fall back to per-run generation
 	}
 
 	render := func(t *unsync.Table) {
@@ -81,29 +105,16 @@ func main() {
 		fmt.Println()
 	}
 
-	want := map[string]bool{}
-	for _, name := range strings.Split(*runList, ",") {
-		want[strings.TrimSpace(strings.ToLower(name))] = true
-	}
-	all := want["all"]
-	ran := 0
-
-	var figTimes []benchkit.FigureTime
 	step := func(name string, f func() error) {
-		if !all && !want[name] {
+		if !want[name] {
 			return
 		}
-		ran++
 		start := clockNow()
 		if err := f(); err != nil {
 			fmt.Fprintf(os.Stderr, "unsync-bench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
-		wall := clockNow().Sub(start)
-		figTimes = append(figTimes, benchkit.FigureTime{
-			Name: name, WallMs: float64(wall.Nanoseconds()) / 1e6,
-		})
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n\n", name, wall.Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "[%s done in %v]\n\n", name, clockNow().Sub(start).Round(time.Millisecond))
 	}
 
 	step("table1", func() error {
@@ -201,31 +212,14 @@ func main() {
 		render(unsync.RenderEnergy(en))
 		return nil
 	})
-	// "replicated" is opt-in only (it multiplies the Fig 4 cost by the
-	// replica count), so it is excluded from -run all.
-	if want["replicated"] {
-		ran++
-		start := clockNow()
+	step("replicated", func() error {
 		rows, err := unsync.ReplicatedFig4(opts, 3)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "unsync-bench: replicated: %v\n", err)
-			os.Exit(1)
-		}
-		render(unsync.RenderReplicated(rows))
-		fmt.Fprintf(os.Stderr, "[replicated done in %v]\n\n", clockNow().Sub(start).Round(time.Millisecond))
-	}
-
-	var campaignBench *benchkit.CampaignBench
-	step("campaign", func() error {
-		cb, err := benchkit.CampaignStudy(*quick)
 		if err != nil {
 			return err
 		}
-		campaignBench = cb
-		render(benchkit.RenderCampaign(cb))
+		render(unsync.RenderReplicated(rows))
 		return nil
 	})
-
 	step("ablations", func() error {
 		wp, err := unsync.AblationWritePolicy(opts)
 		if err != nil {
@@ -240,54 +234,13 @@ func main() {
 		render(unsync.RenderDetection(unsync.AblationDetection()))
 		return nil
 	})
-
-	var schemeEvents []benchkit.SchemeEvents
-	if *eventsOut {
-		ran++
-		start := clockNow()
-		evs, err := benchkit.EventStudy(*quick)
+	step("events", func() error {
+		res, err := unsync.Events(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "unsync-bench: events: %v\n", err)
-			os.Exit(1)
+			return err
 		}
-		schemeEvents = evs
-		render(benchkit.RenderTopdown(evs))
-		render(benchkit.RenderEvents(evs))
-		fmt.Fprintf(os.Stderr, "[events done in %v]\n\n", clockNow().Sub(start).Round(time.Millisecond))
-	}
-
-	if *jsonOut {
-		ran++
-		fmt.Fprintf(os.Stderr, "[benchkit kernels...]\n")
-		start := clockNow()
-		// The campaign section is mandatory in BENCH.json (CI validates
-		// it), so run the study here if the step list skipped it.
-		if campaignBench == nil {
-			cb, err := benchkit.CampaignStudy(*quick)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "unsync-bench: campaign: %v\n", err)
-				os.Exit(1)
-			}
-			campaignBench = cb
-		}
-		rep := benchkit.Report{
-			Schema:   benchkit.Schema,
-			Quick:    *quick,
-			Kernels:  benchkit.RunAll(),
-			Figures:  figTimes,
-			Events:   schemeEvents,
-			Campaign: campaignBench,
-		}
-		if err := rep.WriteFile(*benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "unsync-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "[kernels done in %v; report written to %s]\n",
-			clockNow().Sub(start).Round(time.Millisecond), *benchOut)
-	}
-
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unsync-bench: nothing selected by -run=%q\n", *runList)
-		os.Exit(2)
-	}
+		render(res.RenderTopdown())
+		render(res.RenderEvents())
+		return nil
+	})
 }

@@ -241,3 +241,14 @@ func EnergyStudy(o Options) ([]EnergyRow, error) {
 
 // RenderEnergy renders the energy study.
 func RenderEnergy(rows []EnergyRow) *Table { return experiments.RenderEnergy(rows) }
+
+// EventsResult is the hardware-counter event study: per-scheme named
+// counters, deltas against the baseline and topdown slot fractions.
+type EventsResult = experiments.EventsResult
+
+// Events runs the four built-in schemes on gzip and reads out their
+// hardware counters (DESIGN §13). Render with RenderTopdown and
+// RenderEvents.
+func Events(o Options) (EventsResult, error) {
+	return experiments.Events(context.Background(), o)
+}

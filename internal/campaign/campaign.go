@@ -283,7 +283,7 @@ type Result struct {
 
 	// Events mirrors the Tally under the repository-wide counter
 	// taxonomy (internal/events), so campaign outcomes surface on the
-	// same /metrics and BENCH.json paths as pipeline counters. Derived
+	// same /metrics path as pipeline counters. Derived
 	// purely from the final Tally, never from scheduling order, so a
 	// resumed campaign reproduces it bit for bit.
 	Events events.Counts

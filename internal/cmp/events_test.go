@@ -9,9 +9,9 @@ import (
 	"github.com/cmlasu/unsync/internal/trace"
 )
 
-// kernelRC mirrors benchkit's kernel operating point (warmup 2k,
-// measure 20k) so the identity is pinned on the same windows the
-// BENCH.json kernels run.
+// eventsRC mirrors the simulator microbenchmarks' operating point
+// (warmup 2k, measure 20k; see the root bench_test.go) so the identity
+// is pinned on the same windows the kernels run.
 func eventsRC() RunConfig {
 	rc := DefaultRunConfig()
 	rc.WarmupInsts = 2_000
@@ -65,10 +65,11 @@ func checkAccounting(t *testing.T, label string, res Result) {
 }
 
 // TestStallAccountingIdentity pins, for every registered built-in
-// scheme on the benchkit kernel workloads, that per-cause stall
-// counters partition cycles and the topdown buckets partition slots.
-// This is the invariant that makes the -events report trustworthy: a
-// stage that stalls without charging a cause breaks it.
+// scheme on the microbenchmark kernel workloads (gzip, bzip2), that
+// per-cause stall counters partition cycles and the topdown buckets
+// partition slots. This is the invariant that makes the `-run events`
+// tables trustworthy: a stage that stalls without charging a cause
+// breaks it.
 func TestStallAccountingIdentity(t *testing.T) {
 	rc := eventsRC()
 	for _, bench := range []string{"gzip", "bzip2"} {

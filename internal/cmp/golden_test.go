@@ -32,8 +32,9 @@ func goldenRC() RunConfig {
 const goldenInjectRate, goldenInjectSeed = 5e-4, 0x601d
 
 // goldenRuns computes the digest of every golden run: each Fig 4
-// profile on each built-in scheme, plus one injected UnSync and one
-// injected Reunion run on gzip.
+// profile on each built-in scheme, one injected UnSync and one injected
+// Reunion run on gzip, and two chips (two UnSync pairs plus a solo
+// core, two Reunion pairs).
 func goldenRuns(t *testing.T) map[string]string {
 	t.Helper()
 	rc := goldenRC()
@@ -60,7 +61,60 @@ func goldenRuns(t *testing.T) map[string]string {
 		}
 		got["gzip/"+string(s)+"+inject"] = digestResult(res)
 	}
+	for _, c := range []struct {
+		key          string
+		s            Scheme
+		pairs, solos []string
+	}{
+		{"chip/unsync:bzip2+mcf|solo:gzip", UnSync, []string{"bzip2", "mcf"}, []string{"gzip"}},
+		{"chip/reunion:bzip2+mcf", Reunion, []string{"bzip2", "mcf"}, nil},
+	} {
+		got[c.key] = digestChip(t, c.s, rc, c.pairs, c.solos)
+	}
 	return got
+}
+
+// goldenChipInsts is the stream length of every core on a golden chip.
+const goldenChipInsts = 8_000
+
+// digestChip runs a shared-L2 chip with one redundant pair per entry of
+// pairs and one solo core per entry of solos to completion, and hashes
+// the chip cycle, each pair's stats and both of its cores' stats, then
+// each solo core's stats.
+func digestChip(t *testing.T, s Scheme, rc RunConfig, pairs, solos []string) string {
+	t.Helper()
+	factories := func(names []string) []StreamFactory {
+		var out []StreamFactory
+		for _, n := range names {
+			p, ok := trace.ByName(n)
+			if !ok {
+				t.Fatalf("no %s profile", n)
+			}
+			out = append(out, func() trace.Stream {
+				return trace.NewLimit(trace.NewGenerator(p), goldenChipInsts)
+			})
+		}
+		return out
+	}
+	ch, err := NewMixedChip(s, rc, factories(pairs), factories(solos))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.Run(100_000_000); err != nil {
+		t.Fatalf("chip %s: %v", s, err)
+	}
+	h := sha256.New()
+	hashValue(h, reflect.ValueOf(ch.Cycle()))
+	for _, p := range ch.UnSyncPairs {
+		hashValue(h, reflect.ValueOf([]any{p.Stats, p.A.Stats, p.B.Stats}))
+	}
+	for _, p := range ch.ReunionPairs {
+		hashValue(h, reflect.ValueOf([]any{p.Stats, p.A.Stats, p.B.Stats}))
+	}
+	for _, c := range ch.Solo {
+		hashValue(h, reflect.ValueOf(c.Stats))
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestGoldenResultDigests pins every simulated statistic of the golden

@@ -2,8 +2,8 @@
 // taxonomy: every performance event the cores, memory hierarchy and
 // redundancy schemes count, each under a stable string name with a
 // unit and a topdown bucket. The names follow the PerfSpect-style
-// dotted convention ("L1D.REPLACEMENT", "TOPDOWN.SLOTS") so BENCH.json
-// deltas and the /metrics endpoint stay diffable across commits.
+// dotted convention ("L1D.REPLACEMENT", "TOPDOWN.SLOTS") so the event
+// study's deltas and the /metrics endpoint stay diffable across commits.
 //
 // The package is a leaf: producers (internal/pipeline, internal/core,
 // internal/reunion, internal/tmr, internal/mem via internal/cmp)
@@ -58,8 +58,8 @@ type Event struct {
 }
 
 // Event names. Producers key their Counts with these constants; the
-// strings are a stable external interface (BENCH.json, /metrics) and
-// must not be renamed without bumping the bench schema.
+// strings are a stable external interface (/metrics and the
+// `unsync-bench -run events` tables): renaming one breaks scrapers.
 const (
 	// Core pipeline events (internal/pipeline).
 	Cycles           = "CYCLES"
@@ -250,7 +250,7 @@ func (c Counts) Names() []string {
 }
 
 // Delta returns cur − prev per event (union of keys) as signed counts,
-// for scheme-vs-baseline comparison in BENCH.json.
+// for the event study's scheme-vs-baseline comparison.
 func Delta(cur, prev Counts) map[string]int64 {
 	out := make(map[string]int64, len(cur))
 	for _, name := range cur.Names() {

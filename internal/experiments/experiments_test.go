@@ -153,19 +153,26 @@ func TestFig6QuickShape(t *testing.T) {
 	if len(res.Points) != 3 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
-	// Larger CBs must not perform worse; the 2 KB point approaches the
-	// baseline (paper: identical performance).
-	small := res.MeanRelative(0)
-	big := res.MeanRelative(len(res.Points) - 1)
-	if big < small {
-		t.Errorf("bigger CB slower: %.3f vs %.3f", big, small)
+	// EXPERIMENTS.md's claim: CB-full stalls fall with size and vanish
+	// at 2 KB, relative performance never drops as the CB grows, and
+	// the 2 KB point matches the baseline (paper: identical
+	// performance).
+	for i := 1; i < len(res.Points); i++ {
+		prev, cur := res.Points[i-1], res.Points[i]
+		if cur.MeanCBFullStalls >= prev.MeanCBFullStalls {
+			t.Errorf("CB-full stalls did not fall from %d to %d entries: %.4f -> %.4f",
+				prev.CBEntries, cur.CBEntries, prev.MeanCBFullStalls, cur.MeanCBFullStalls)
+		}
+		if res.MeanRelative(i) < res.MeanRelative(i-1) {
+			t.Errorf("bigger CB slower: %d entries %.4f < %d entries %.4f",
+				cur.CBEntries, res.MeanRelative(i), prev.CBEntries, res.MeanRelative(i-1))
+		}
 	}
-	if big < 0.93 {
-		t.Errorf("2KB CB relative performance %.3f, want near baseline", big)
+	if s := res.Points[2].MeanCBFullStalls; s != 0 {
+		t.Errorf("2KB CB-full stall fraction %.4f, want 0", s)
 	}
-	// Stall fraction shrinks with size.
-	if res.Points[0].MeanCBFullStalls < res.Points[2].MeanCBFullStalls {
-		t.Error("CB-full stalls did not shrink with size")
+	if big := res.MeanRelative(2); big < 0.99 {
+		t.Errorf("2KB CB relative performance %.4f, want >= 0.99", big)
 	}
 	if res.Points[2].CBBytes != 170*12 {
 		t.Errorf("CBBytes = %d", res.Points[2].CBBytes)
