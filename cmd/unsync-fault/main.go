@@ -131,8 +131,8 @@ func main() {
 		plane, err = stream.NewPlane(stream.PlaneConfig{
 			DLQ: *dlqPath,
 			Key: key,
-			// Throttle the readout; the plane's accounting itself is
-			// lossless (Block inlet policy).
+			// Throttle the readout; the plane's accounting itself
+			// counts every record.
 			EmitEvery: 200 * time.Millisecond,
 		})
 		if err != nil {

@@ -140,10 +140,10 @@ func main() {
 	}
 
 	// The streaming plane observes the merged record stream from every
-	// shard — live arrivals, steal-overlap duplicates and journal
-	// replays alike — feeding the -progress readout and the dead-letter
-	// sidecar. Strictly observational: the merged Result and journal
-	// bytes are identical with or without it.
+	// shard — journal replays, then each trial's first live arrival
+	// (the coordinator drops duplicates first) — feeding the -progress
+	// readout and the dead-letter sidecar. Strictly observational: the
+	// merged Result and journal bytes are identical with or without it.
 	var plane *stream.Plane
 	var progressDone sync.WaitGroup
 	if *progress || *dlqPath != "" {
@@ -262,34 +262,26 @@ func render(res campaign.Result, snap fabric.Snapshot) *report.Table {
 	return t
 }
 
-// writeMetrics renders the coordinator snapshot in the Prometheus text
-// exposition format, mirroring the serve-side metric idiom. plane may
-// be nil (no -progress/-dlq).
+// writeMetrics renders the coordinator snapshot through serve's
+// Prometheus text writer. plane may be nil (no -progress/-dlq).
 func writeMetrics(w http.ResponseWriter, snap fabric.Snapshot, plane *stream.Plane) {
-	var b strings.Builder
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge("unsync_fleet_trials", "Trials in the campaign.", float64(snap.Trials))
-	gauge("unsync_fleet_trials_done", "Trial records received and journaled.", float64(snap.Done))
+	var e serve.Exposition
+	e.Gauge("unsync_fleet_trials", "Trials in the campaign.", float64(snap.Trials))
+	e.Gauge("unsync_fleet_trials_done", "Trial records received and journaled.", float64(snap.Done))
 	if plane != nil {
 		fr := plane.Snapshot()
-		gauge("unsync_fleet_dlq_depth", "Distinct dead-lettered trials in the DLQ sidecar.", float64(fr.DLQDepth))
-		gauge("unsync_fleet_window_sdc_rate", "SDC rate over the streaming plane's sliding window.", fr.WindowRate)
+		e.Gauge("unsync_fleet_dlq_depth", "Distinct dead-lettered trials in the DLQ sidecar.", float64(fr.DLQDepth))
+		e.Gauge("unsync_fleet_window_sdc_rate", "SDC rate over the streaming plane's sliding window.", fr.WindowRate)
 	}
-	fmt.Fprintf(&b, "# HELP unsync_fleet_shards Shards by lease state.\n# TYPE unsync_fleet_shards gauge\n")
+	e.Family("unsync_fleet_shards", "gauge", "Shards by lease state.")
 	for _, st := range []string{"pending", "running", "done"} {
-		fmt.Fprintf(&b, "unsync_fleet_shards{state=%q} %d\n", st, snap.ShardsByState[st])
+		e.Count("unsync_fleet_shards", uint64(snap.ShardsByState[st]), "state", st)
 	}
-	counter("unsync_fleet_leases_total", "Shard leases granted since start.", snap.Leases)
-	counter("unsync_fleet_lease_failures_total", "Leases that failed and re-pended their range.", snap.Failures)
-	counter("unsync_fleet_steals_total", "Straggler ranges re-split by idle workers.", snap.Splits)
-	counter("unsync_fleet_duplicate_records_total", "Bit-identical duplicate records deduped on arrival.", snap.Duplicates)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(b.String()))
+	e.Counter("unsync_fleet_leases_total", "Shard leases granted since start.", snap.Leases)
+	e.Counter("unsync_fleet_lease_failures_total", "Leases that failed and re-pended their range.", snap.Failures)
+	e.Counter("unsync_fleet_steals_total", "Straggler ranges re-split by idle workers.", snap.Splits)
+	e.Counter("unsync_fleet_duplicate_records_total", "Bit-identical duplicate records deduped on arrival.", snap.Duplicates)
+	e.Serve(w)
 }
 
 func writeJSON(path string, res campaign.Result) error {

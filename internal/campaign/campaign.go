@@ -406,8 +406,9 @@ func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, erro
 				recs[i] = &r
 				// Resumed records replay through the observer so a
 				// streaming plane sees the whole campaign, not just the
-				// tail executed after the restart; its dedupe absorbs
-				// any overlap with an already-captured DLQ entry.
+				// tail executed after the restart; the DLQ's replayed
+				// sidecar keeps an already-captured entry from being
+				// written twice.
 				if spec.Observer != nil {
 					spec.Observer(r)
 				}

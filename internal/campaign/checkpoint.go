@@ -45,8 +45,8 @@ type TrialRecord struct {
 }
 
 // Equal reports whether two records are identical field-for-field —
-// the bit-identity check behind replay dedupe (internal/stream) and
-// the fabric's duplicate-arrival verification. TrialRecord stopped
+// the bit-identity check behind the fabric's duplicate-arrival
+// verification. TrialRecord stopped
 // being ==-comparable when AttemptErrs made it carry a slice; this is
 // the comparison call sites use instead.
 func (r TrialRecord) Equal(o TrialRecord) bool {

@@ -99,13 +99,13 @@ type Config struct {
 	// the deterministic stand-in for a coordinator kill, used by tests
 	// and the CI restart exercise.
 	StopAfter int
-	// Plane, when non-nil, observes every trial record the coordinator
-	// receives: journal-resumed records replay in index order before
-	// dispatch, then live arrivals (including steal-overlap duplicates,
-	// which the plane's dedupe absorbs) as they stream in. The plane's
-	// own DLQ replay means a restarted coordinator never dead-letters
-	// the same trial twice. Strictly observational: the merged Result
-	// and journal bytes are identical with or without it.
+	// Plane, when non-nil, observes each trial once: journal-resumed
+	// records replay in index order before dispatch, then first
+	// arrivals as they stream in (record drops steal-overlap and
+	// re-lease duplicates before the plane sees them). The plane's own
+	// DLQ replay means a restarted coordinator never dead-letters the
+	// same trial twice. Strictly observational: the merged Result and
+	// journal bytes are identical with or without it.
 	Plane *stream.Plane
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
@@ -547,9 +547,11 @@ func (c *Coordinator) replayPlane() {
 	}
 }
 
-// record folds one streamed trial record in. Duplicates (steal overlap,
-// re-lease races) must be bit-identical to the stored record — anything
-// else is a determinism violation and aborts the campaign.
+// record folds one streamed trial record in. It is the fleet's only
+// duplicate check: a repeat (steal overlap, re-lease races) must be
+// bit-identical to the stored record — anything else is a determinism
+// violation and aborts the campaign — and is counted, never journaled
+// or shown to the plane, so the plane sees each trial once.
 func (c *Coordinator) record(rec *campaign.TrialRecord) error {
 	c.mu.Lock()
 	if prev, ok := c.done[rec.Index]; ok {
@@ -558,10 +560,6 @@ func (c *Coordinator) record(rec *campaign.TrialRecord) error {
 		if !prev.Equal(*rec) {
 			return fmt.Errorf("%w: trial %d arrived twice with different payloads — determinism violation (worker skew?)", errFatal, rec.Index)
 		}
-		// The plane counts the duplicate too (its dedupe re-verifies
-		// bit-identity); observed outside c.mu so a blocking inlet can
-		// never hold the coordinator lock.
-		c.cfg.Plane.Observe(*rec)
 		return nil
 	}
 	c.done[rec.Index] = rec

@@ -176,3 +176,67 @@ func TestFleetPlaneSurvivesCoordinatorRestart(t *testing.T) {
 		t.Fatalf("fleet result differs after restart with plane:\nfleet:  %s\nsingle: %s", rb, wantResult)
 	}
 }
+
+// Coordinator.record is the fleet's only duplicate check. A
+// bit-identical repeat (steal overlap, re-lease race) is counted and
+// kept away from the plane and the journal; a repeat with a differing
+// payload is a determinism violation that aborts the campaign.
+func TestRecordIsTheOnlyDuplicateCheck(t *testing.T) {
+	plane, err := stream.NewPlane(stream.PlaneConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(t.TempDir(), "fleet.jsonl")
+	c, err := New(Config{
+		Workers: []string{"http://x"},
+		Params:  testParams(10),
+		Journal: journal,
+		Plane:   plane,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := campaign.TrialRecord{Key: c.key, Seed: 7, Index: 3, Space: "int-reg", Attempts: 2, Err: "boom",
+		AttemptErrs: []string{"attempt 1: boom", "attempt 2: boom"}}
+	repeat := first
+	repeat.AttemptErrs = append([]string(nil), first.AttemptErrs...)
+	if err := c.record(&first); err != nil {
+		t.Fatalf("first arrival: %v", err)
+	}
+	if err := c.record(&repeat); err != nil {
+		t.Fatalf("bit-identical repeat: %v", err)
+	}
+	if got := c.Snapshot().Duplicates; got != 1 {
+		t.Fatalf("Duplicates = %d after one bit-identical repeat, want 1", got)
+	}
+	if got := plane.Snapshot().Done; got != 1 {
+		t.Fatalf("plane Done = %d after a repeat, want 1", got)
+	}
+
+	// Every field counts, the per-attempt error chain included.
+	outcome := repeat
+	outcome.Err, outcome.Outcome = "", "sdc"
+	chain := repeat
+	chain.AttemptErrs = []string{"attempt 1: boom", "attempt 2: a different cause"}
+	for name, differing := range map[string]campaign.TrialRecord{"outcome": outcome, "attempt chain": chain} {
+		if err := c.record(&differing); !errors.Is(err, errFatal) {
+			t.Fatalf("repeat with a differing %s: %v, want an error wrapping errFatal", name, err)
+		}
+	}
+	if got := plane.Snapshot().Done; got != 1 {
+		t.Fatalf("plane Done = %d after differing repeats, want 1", got)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := plane.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := replayJournal(journal, c.key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.done) != 1 || !st.done[3].Equal(first) {
+		t.Fatalf("journal holds %d trial records, want only the first arrival", len(st.done))
+	}
+}

@@ -59,7 +59,7 @@
 //     fsync, long-running engine call or resilience.Retry while a
 //     sync.Mutex/RWMutex is provably held — except sites audited with
 //     //unsync:allow-lock-held;
-//   - blocking-send: in the streaming/pump packages (cfg.StreamDirs), a
+//   - blocking-send: in the streaming packages (cfg.StreamDirs), a
 //     channel send inside a for/range loop must be a select clause with
 //     a done-style receive or a default clause, so shutdown can always
 //     interrupt the loop — except sites audited with
@@ -147,9 +147,9 @@ type Config struct {
 	// lane-alloc rule guards against per-lane heap allocation.
 	BatchFiles []string
 	// StreamDirs are the module-relative package directories (and their
-	// subdirectories) whose pump/operator loops the blocking-send rule
-	// guards: a channel send inside a loop there must sit in a select
-	// with a done-style receive or a default clause.
+	// subdirectories) whose fan-out loops the blocking-send rule guards:
+	// a channel send inside a loop there must sit in a select with a
+	// done-style receive or a default clause.
 	StreamDirs []string
 }
 

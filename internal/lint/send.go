@@ -7,7 +7,7 @@ import (
 
 // Rule: blocking-send
 //
-// In the streaming/pump packages (cfg.StreamDirs) a bare channel send
+// In the streaming packages (cfg.StreamDirs) a bare channel send
 // inside a for/range loop is a shutdown hazard: pump loops run until
 // cancelled, and a send with no escape hatch deadlocks the loop the
 // moment its consumer stops draining — the drain/kill invariants the

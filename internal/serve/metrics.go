@@ -69,33 +69,25 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	var b strings.Builder
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	gauge("unsync_serve_inflight_jobs", "Jobs currently holding a worker slot.", float64(inflight))
-	gauge("unsync_serve_queue_depth", "Admitted jobs waiting for a worker slot.", float64(queued))
-	gauge("unsync_serve_breaker_state", "Runner circuit breaker state (0=closed, 1=half-open, 2=open).",
+	var e Exposition
+	e.Gauge("unsync_serve_inflight_jobs", "Jobs currently holding a worker slot.", float64(inflight))
+	e.Gauge("unsync_serve_queue_depth", "Admitted jobs waiting for a worker slot.", float64(queued))
+	e.Gauge("unsync_serve_breaker_state", "Runner circuit breaker state (0=closed, 1=half-open, 2=open).",
 		float64(breakerStateValue(s.breaker.State())))
-
-	fmt.Fprintf(&b, "# HELP unsync_serve_shed_total Submits rejected with 429 since process start.\n")
-	fmt.Fprintf(&b, "# TYPE unsync_serve_shed_total counter\nunsync_serve_shed_total %d\n", shed)
+	e.Counter("unsync_serve_shed_total", "Submits rejected with 429 since process start.", shed)
 
 	if s.cfg.EnableShards {
-		gauge("unsync_serve_shards_active", "Leased shard streams executing now (worker mode).", float64(shardsActive))
-		counter := func(name, help string, v uint64) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-		}
-		counter("unsync_serve_shards_total", "Shard leases accepted since process start.", shardsTotal)
-		counter("unsync_serve_shard_trials_total", "Trial records streamed to coordinators since process start.", shardTrials)
-		counter("unsync_serve_shard_failures_total", "Shards cut short worker-side since process start.", shardFailures)
+		e.Gauge("unsync_serve_shards_active", "Leased shard streams executing now (worker mode).", float64(shardsActive))
+		e.Counter("unsync_serve_shards_total", "Shard leases accepted since process start.", shardsTotal)
+		e.Counter("unsync_serve_shard_trials_total", "Trial records streamed to coordinators since process start.", shardTrials)
+		e.Counter("unsync_serve_shard_failures_total", "Shards cut short worker-side since process start.", shardFailures)
 	}
 
 	if len(planes) > 0 {
 		labeled := func(name, help string, sample func(jobPlane) float64) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
+			e.Family(name, "gauge", help)
 			for _, jp := range planes {
-				fmt.Fprintf(&b, "%s{job=%q} %g\n", name, jp.id, sample(jp))
+				e.Sample(name, sample(jp), "job", jp.id)
 			}
 		}
 		labeled("unsync_job_trials_done", "Trial records the job's streaming plane has admitted.",
@@ -106,19 +98,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			func(jp jobPlane) float64 { return float64(jp.frame.DLQDepth) })
 	}
 
-	fmt.Fprintf(&b, "# HELP unsync_serve_jobs Jobs known to the server, by state.\n# TYPE unsync_serve_jobs gauge\n")
+	e.Family("unsync_serve_jobs", "gauge", "Jobs known to the server, by state.")
 	states := make([]string, 0, len(byState))
 	for st := range byState {
 		states = append(states, string(st))
 	}
 	sort.Strings(states)
 	for _, st := range states {
-		fmt.Fprintf(&b, "unsync_serve_jobs{state=%q} %d\n", st, byState[JobState(st)])
+		e.Count("unsync_serve_jobs", uint64(byState[JobState(st)]), "state", st)
 	}
 
 	if len(finished) > 0 {
-		fmt.Fprintf(&b, "# HELP unsync_job_event_total Per-job hardware/campaign counters under the internal/events taxonomy.\n")
-		fmt.Fprintf(&b, "# TYPE unsync_job_event_total counter\n")
+		e.Family("unsync_job_event_total", "counter", "Per-job hardware/campaign counters under the internal/events taxonomy.")
 		for _, je := range finished {
 			names := make([]string, 0, len(je.counts))
 			for name := range je.counts {
@@ -126,13 +117,72 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			}
 			sort.Strings(names)
 			for _, name := range names {
-				fmt.Fprintf(&b, "unsync_job_event_total{job=%q,event=%q} %d\n", je.id, name, je.counts[name])
+				e.Count("unsync_job_event_total", je.counts[name], "job", je.id, "event", name)
 			}
 		}
 	}
+	e.Serve(w)
+}
 
+// Exposition builds a Prometheus text-format (version 0.0.4) body. It
+// is the one writer behind both /metrics endpoints: this server's and
+// the unsync-fleet coordinator's.
+type Exposition struct {
+	b strings.Builder
+}
+
+// Family opens a metric family with its HELP and TYPE lines; labeled
+// samples follow through Sample or Count.
+func (e *Exposition) Family(name, typ, help string) {
+	fmt.Fprintf(&e.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// Gauge writes a single-sample gauge family.
+func (e *Exposition) Gauge(name, help string, v float64) {
+	e.Family(name, "gauge", help)
+	e.Sample(name, v)
+}
+
+// Counter writes a single-sample counter family.
+func (e *Exposition) Counter(name, help string, v uint64) {
+	e.Family(name, "counter", help)
+	e.Count(name, v)
+}
+
+// Sample writes one sample with a %g value. labels alternate label
+// name and value.
+func (e *Exposition) Sample(name string, v float64, labels ...string) {
+	fmt.Fprintf(&e.b, "%s%s %g\n", name, labelSet(labels), v)
+}
+
+// Count writes one sample with an integer value. labels alternate
+// label name and value.
+func (e *Exposition) Count(name string, v uint64, labels ...string) {
+	fmt.Fprintf(&e.b, "%s%s %d\n", name, labelSet(labels), v)
+}
+
+// Serve writes the body as a text-exposition response.
+func (e *Exposition) Serve(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(b.String()))
+	_, _ = w.Write([]byte(e.b.String()))
+}
+
+// labelSet renders alternating name/value pairs as {n1="v1",n2="v2"},
+// or "" when there are none.
+func labelSet(kv []string) string {
+	if len(kv) == 0 {
+		return ""
+	}
+	var b strings.Builder
+	b.WriteByte('{')
+	for i := 0; i+1 < len(kv); i += 2 {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%s=%q", kv[i], kv[i+1])
+	}
+	b.WriteByte('}')
+	return b.String()
 }
 
 // breakerStateValue maps the breaker state onto the stable numeric

@@ -47,8 +47,8 @@ func (s *Server) runCampaign(ctx context.Context, job *Job) (json.RawMessage, er
 		DLQ: s.dlqPath(job.ID),
 		Key: spec.Normalized().Key(campaign.ProgHash(prog)),
 		// Progress frames are cosmetic; 100 ms keeps a busy campaign
-		// from flooding SSE subscribers. The inlet still blocks, so the
-		// plane's own accounting (DLQ, convergence) is lossless.
+		// from flooding SSE subscribers. Only frames are throttled: the
+		// plane's own accounting (DLQ, convergence) sees every record.
 		EmitEvery: 100 * time.Millisecond,
 	})
 	if perr != nil {

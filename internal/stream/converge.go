@@ -19,21 +19,18 @@ import (
 //
 // Not safe for concurrent use; the Plane serializes access.
 type Tracker struct {
-	z      float64
-	done   uint64 // records admitted (successful + failed)
+	done   uint64 // records observed (successful + failed)
 	failed uint64 // records with a harness error or malformed outcome
 	n      uint64 // successful trials (the rate denominator)
 	k      uint64 // SDC trials
 }
 
-// NewTracker builds a tracker with the given Wilson z multiplier
-// (0 selects 1.96 ≈ 95%, the campaign default).
-func NewTracker(z float64) *Tracker {
-	if z == 0 {
-		z = 1.96
-	}
-	return &Tracker{z: z}
-}
+// wilsonZ is the tracker's Wilson multiplier: 1.96 ≈ 95%, the
+// campaign default (campaign.Spec.Z).
+const wilsonZ = 1.96
+
+// NewTracker builds an empty tracker.
+func NewTracker() *Tracker { return &Tracker{} }
 
 // Add folds one record in, classifying it exactly as the campaign
 // tally would: records carrying a harness error or an unknown outcome
@@ -53,7 +50,7 @@ func (t *Tracker) Add(rec campaign.TrialRecord) {
 
 // Convergence is the tracker's point-in-time view.
 type Convergence struct {
-	Done   uint64  // records admitted
+	Done   uint64  // records observed
 	Failed uint64  // failed or malformed records
 	Rate   float64 // lifetime SDC rate (k/n; 0 when n == 0)
 	Lo, Hi float64 // Wilson interval bounds on the rate
@@ -63,7 +60,7 @@ type Convergence struct {
 // Snapshot computes the current convergence state.
 func (t *Tracker) Snapshot() Convergence {
 	c := Convergence{Done: t.done, Failed: t.failed}
-	c.Lo, c.Hi = stats.Wilson(t.k, t.n, t.z)
+	c.Lo, c.Hi = stats.Wilson(t.k, t.n, wilsonZ)
 	c.Width = c.Hi - c.Lo
 	if t.n > 0 {
 		c.Rate = float64(t.k) / float64(t.n)

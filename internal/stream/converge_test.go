@@ -10,7 +10,7 @@ import (
 // does: harness errors and unknown outcome names are failed, everything
 // else feeds the Wilson interval on the SDC rate.
 func TestTrackerMatchesCampaignClassification(t *testing.T) {
-	tr := NewTracker(0) // 0 selects the campaign default z=1.96
+	tr := NewTracker()
 	tr.Add(rec(0, "sdc"))
 	tr.Add(rec(1, "benign"))
 	tr.Add(failedRec(2))
@@ -29,7 +29,7 @@ func TestTrackerMatchesCampaignClassification(t *testing.T) {
 }
 
 func TestTrackerEmptySnapshot(t *testing.T) {
-	c := NewTracker(1.96).Snapshot()
+	c := NewTracker().Snapshot()
 	lo, hi := stats.Wilson(0, 0, 1.96)
 	if c.Done != 0 || c.Rate != 0 || c.Lo != lo || c.Hi != hi {
 		t.Fatalf("empty tracker snapshot %+v, want zero counts and Wilson(0,0)", c)

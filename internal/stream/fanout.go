@@ -8,13 +8,13 @@ import (
 // Fanout broadcasts values to any number of subscriber taps without
 // ever waiting for one: a tap whose buffer is full loses the value
 // (counted per tap), so a stalled SSE reader or a wedged progress
-// writer can never backpressure the plane's pump. Progress frames are
+// writer can never slow the plane's Observe. Progress frames are
 // cosmetic — the next one supersedes the last — which is exactly the
-// traffic this tradeoff is safe for; anything on the accounting path
-// belongs in a Pipe instead.
+// traffic this tradeoff is safe for; the accounting itself (Window,
+// Tracker, DLQ) never goes through a fanout.
 //
-// Publish and Close follow a single-sender discipline: only the
-// plane's pump goroutine calls them, which is what makes closing a
+// Publish and Close follow a single-sender discipline: the plane calls
+// them only while holding its own mutex, which is what makes closing a
 // tap's channel race-free. Subscribe and Cancel are safe from any
 // goroutine.
 type Fanout[T any] struct {
@@ -72,7 +72,7 @@ func (f *Fanout[T]) Subscribe(buf int) *Tap[T] {
 }
 
 // Publish offers v to every live tap without blocking; full taps shed
-// it. Single sender only (the pump).
+// it. Single sender only (under Plane.mu).
 func (f *Fanout[T]) Publish(v T) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -91,7 +91,7 @@ func (f *Fanout[T]) Publish(v T) {
 // Close delivers final to every tap — evicting the tap's oldest
 // buffered values if needed, so a reader that never kept up still sees
 // the terminal state — then closes every tap channel. Single sender
-// only (the pump). Idempotent.
+// only (under Plane.mu). Idempotent.
 func (f *Fanout[T]) Close(final T) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -9,16 +8,12 @@ import (
 	"github.com/cmlasu/unsync/internal/campaign"
 )
 
-// PlaneConfig configures a Plane. The zero value is usable: 128-record
-// window, 95% Wilson interval, wall clock, counting-only DLQ, a frame
-// per record.
+// windowSize is the plane's sliding-window length in records.
+const windowSize = 128
+
+// PlaneConfig configures a Plane. The zero value is usable: wall
+// clock, counting-only DLQ, a frame per record.
 type PlaneConfig struct {
-	// Window is the sliding-window size in records (default 128).
-	Window int
-	// Z is the Wilson interval multiplier (0 selects 1.96 ≈ 95%).
-	Z float64
-	// Buffer is the inlet pipe depth (default 256).
-	Buffer int
 	// DLQ is the dead-letter sidecar path; empty selects counting-only
 	// mode (depth is tracked, nothing persists).
 	DLQ string
@@ -29,7 +24,7 @@ type PlaneConfig struct {
 	// Clock drives frame throttling (nil selects the wall clock).
 	Clock Clock
 	// EmitEvery is the minimum gap between published progress frames;
-	// zero publishes one per admitted record.
+	// zero publishes one per observed record.
 	EmitEvery time.Duration
 }
 
@@ -37,7 +32,7 @@ type PlaneConfig struct {
 // value, so a subscriber that lost every intermediate frame still
 // learns everything from the latest one.
 type Frame struct {
-	Done       uint64  `json:"done"`        // records admitted (successful + failed)
+	Done       uint64  `json:"done"`        // records observed (successful + failed)
 	Failed     uint64  `json:"failed"`      // harness-failed or malformed records
 	Rate       float64 `json:"rate"`        // lifetime SDC rate
 	Lo         float64 `json:"lo"`          // Wilson lower bound
@@ -46,8 +41,7 @@ type Frame struct {
 	WindowLen  int     `json:"window_len"`  // records currently in the window
 	WindowRate float64 `json:"window_rate"` // SDC rate over the window
 	DLQDepth   uint64  `json:"dlq_depth"`   // distinct dead-lettered trials
-	Dropped    uint64  `json:"dropped"`     // inlet records lost to a shutdown race
-	Duplicates uint64  `json:"duplicates"`  // bit-identical replays absorbed
+	Dropped    uint64  `json:"dropped"`     // records observed after Close
 	Final      bool    `json:"final,omitempty"`
 }
 
@@ -65,134 +59,83 @@ func FormatFrame(f Frame) string {
 
 // Plane composes the operators into the standard pipeline:
 //
-//	Observe → Pipe → Dedupe → {Window, Tracker, DLQ} → Throttle → Fanout
+//	Observe → {Window, Tracker} → DLQ → Throttle → Fanout
 //
-// A single pump goroutine drains the pipe and owns every downstream
-// stage, so the stages themselves need no locking; Snapshot shares
-// them under one mutex. The plane is strictly observational — it reads
-// records, it never produces or reorders them — which is what makes
-// Result values and journal bytes bit-identical with the plane on or
-// off.
+// Observe runs on the caller's goroutine. Window, Tracker and Throttle
+// live under one mutex, and the fanout publishes only while it is
+// held. The DLQ offer (an fsync for a dead record) runs between two
+// critical sections, never under the mutex, so a stalled disk cannot
+// wedge Snapshot and the /metrics scrape behind it. Every caller hands
+// the plane each trial exactly once: campaign.RunContext per
+// invocation, and fabric.Coordinator after its own duplicate check.
+//
+// The plane is strictly observational — it reads records, it never
+// produces or reorders them — which is what makes Result values and
+// journal bytes bit-identical with the plane on or off.
 //
 // A nil *Plane is a valid no-op observer: Observe, Snapshot, Close,
 // DLQDepth and Dropped all tolerate it, so call sites wire
 // plane.Observe unconditionally.
 type Plane struct {
-	in       *Pipe
-	dedupe   *Dedupe
-	window   *Window
-	tracker  *Tracker
 	dlq      *DLQ
 	fanout   *Fanout[Frame]
+	inflight sync.WaitGroup // Observe calls between their two critical sections
+
+	mu       sync.Mutex // guards everything below; Fanout.Publish/Close run under it
+	window   *Window
+	tracker  *Tracker
 	throttle *Throttle
-
-	ctx    context.Context
-	cancel context.CancelFunc
-	pumped chan struct{} // closed when the pump exits
-
-	mu        sync.Mutex // guards stages + firstErr (pump vs Snapshot/Close)
-	firstErr  error
-	closeOnce sync.Once
-	closeErr  error
+	firstErr error
+	closed   bool
+	dropped  uint64
+	closeErr error
 }
 
-// NewPlane opens the DLQ sidecar (replaying prior entries) and starts
-// the pump. Close releases everything; it must be called after the
-// last Observe has returned.
+// NewPlane opens the DLQ sidecar, replaying prior entries. Close
+// releases it.
 func NewPlane(cfg PlaneConfig) (*Plane, error) {
-	if cfg.Window <= 0 {
-		cfg.Window = 128
-	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 256
-	}
 	dlq, err := OpenDLQ(cfg.DLQ, cfg.Key)
 	if err != nil {
 		return nil, err
 	}
-	p := &Plane{
-		in:       NewPipe(cfg.Buffer),
-		dedupe:   NewDedupe(),
-		window:   NewWindow(cfg.Window),
-		tracker:  NewTracker(cfg.Z),
+	return &Plane{
 		dlq:      dlq,
 		fanout:   NewFanout[Frame](),
+		window:   NewWindow(windowSize),
+		tracker:  NewTracker(),
 		throttle: NewThrottle(cfg.Clock, cfg.EmitEvery),
-		pumped:   make(chan struct{}),
-	}
-	p.ctx, p.cancel = context.WithCancel(context.Background())
-	go p.pump()
-	return p, nil
+	}, nil
 }
 
-// Observe offers one trial record to the plane. It waits for inlet
-// buffer space (bounded by the pump's drain rate, never by any
-// subscriber). Nil-safe.
+// Observe folds one trial record into the plane, dead-letters it if
+// it failed, and publishes a frame if the throttle allows. Its cost is
+// bounded by the DLQ's fsync, never by any subscriber. After Close the
+// record is counted in Dropped and goes nowhere else. Nil-safe.
 func (p *Plane) Observe(rec campaign.TrialRecord) {
 	if p == nil {
 		return
 	}
-	p.in.Send(p.ctx, rec)
-}
-
-// pump is the single consumer: it drains the inlet pipe into the
-// stages and publishes throttled frames until Close cancels the
-// context, then drains whatever is still buffered and exits.
-func (p *Plane) pump() {
-	defer close(p.pumped)
-	for {
-		select {
-		case rec := <-p.in.Out():
-			p.ingest(rec)
-		case <-p.ctx.Done():
-			for {
-				select {
-				case rec := <-p.in.Out():
-					p.ingest(rec)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// ingest runs one record through dedupe, window, tracker and DLQ, then
-// publishes a frame if the throttle allows. The DLQ offer — an fsync —
-// runs between the two critical sections, never under p.mu: a stalled
-// disk must not wedge Snapshot and the /metrics scrape behind it. Only
-// the pump calls ingest, so the stages stay single-writer throughout.
-func (p *Plane) ingest(rec campaign.TrialRecord) {
 	p.mu.Lock()
-	admitted, err := p.dedupe.Admit(rec)
+	if p.closed {
+		p.dropped++
+		p.mu.Unlock()
+		return
+	}
+	p.window.Add(rec)
+	p.tracker.Add(rec)
+	p.inflight.Add(1)
+	p.mu.Unlock()
+	defer p.inflight.Done()
+
+	_, err := p.dlq.Offer(rec)
+
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if err != nil && p.firstErr == nil {
 		p.firstErr = err
 	}
-	if admitted {
-		p.window.Add(rec)
-		p.tracker.Add(rec)
-	}
-	p.mu.Unlock()
-
-	if admitted {
-		if _, err := p.dlq.Offer(rec); err != nil {
-			p.mu.Lock()
-			if p.firstErr == nil {
-				p.firstErr = err
-			}
-			p.mu.Unlock()
-		}
-	}
-
-	p.mu.Lock()
-	emit := p.throttle.Allow()
-	var fr Frame
-	if emit {
-		fr = p.frameLocked(false)
-	}
-	p.mu.Unlock()
-	if emit {
-		p.fanout.Publish(fr)
+	if !p.closed && p.throttle.Allow() {
+		p.fanout.Publish(p.frameLocked(false))
 	}
 }
 
@@ -209,8 +152,7 @@ func (p *Plane) frameLocked(final bool) Frame {
 		WindowLen:  p.window.Len(),
 		WindowRate: p.window.Rate(),
 		DLQDepth:   p.dlq.Depth(),
-		Dropped:    p.in.Dropped(),
-		Duplicates: p.dedupe.Duplicates(),
+		Dropped:    p.dropped,
 		Final:      final,
 	}
 }
@@ -242,36 +184,39 @@ func (p *Plane) DLQDepth() uint64 {
 	return p.dlq.Depth()
 }
 
-// Dropped reports inlet records the plane failed to enqueue. Nil-safe.
+// Dropped reports records observed after Close. Nil-safe.
 func (p *Plane) Dropped() uint64 {
 	if p == nil {
 		return 0
 	}
-	return p.in.Dropped()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.dropped
 }
 
-// Close stops the pump (draining buffered records first), broadcasts
-// the final frame to every tap, closes the DLQ, and returns the first
-// error the plane saw — a determinism violation from dedupe or a DLQ
-// write failure. Idempotent and nil-safe. Call only after the last
-// Observe has returned; records still in flight in a racing Observe
-// are counted as dropped, never silently half-processed.
+// Close stops admitting records, waits for any Observe still offering
+// to the DLQ, broadcasts the final frame to every tap, closes the DLQ,
+// and returns the first DLQ write failure the plane saw. Idempotent
+// and nil-safe.
 func (p *Plane) Close() error {
 	if p == nil {
 		return nil
 	}
-	p.closeOnce.Do(func() {
-		p.cancel()
-		<-p.pumped
-		p.mu.Lock()
-		final := p.frameLocked(true)
-		err := p.firstErr
-		p.mu.Unlock()
-		p.fanout.Close(final)
-		if cerr := p.dlq.Close(); err == nil {
-			err = cerr
-		}
+	p.mu.Lock()
+	if p.closed {
+		defer p.mu.Unlock()
+		return p.closeErr
+	}
+	p.closed = true
+	p.mu.Unlock()
+
+	p.inflight.Wait()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.fanout.Close(p.frameLocked(true))
+	p.closeErr = p.firstErr
+	if err := p.dlq.Close(); p.closeErr == nil {
 		p.closeErr = err
-	})
+	}
 	return p.closeErr
 }

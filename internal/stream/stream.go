@@ -1,5 +1,5 @@
 // Package stream is the campaign's streaming results plane: a small
-// library of composable, backpressure-safe operators over live
+// library of composable operators over live
 // campaign.TrialRecord streams. The final Result of a long campaign is
 // a statistic — SDC rate with a Wilson interval over thousands of
 // trials — yet until this package existed it only materialized when the
@@ -7,18 +7,12 @@
 // terminal errors.Join. The operators here turn the live trial stream
 // into something observable and lossless while it is still running:
 //
-//   - Pipe: a bounded-buffer stage that backpressures the producer on
-//     a full buffer, so nothing is ever lost;
 //   - Window: sliding count-window SDC-rate aggregation, so a rate
 //     drift late in a campaign is visible against the lifetime rate;
 //   - Tracker: live Wilson-CI convergence tracking (internal/stats),
 //     the same interval the campaign's early-stop evaluates — but note
 //     that early stopping itself still fires only at round boundaries
 //     (campaign roundSize), never mid-round off this tracker;
-//   - Dedupe: replay-aware dedupe by trial index with the same
-//     bit-identity verification as the fabric merge — a replayed record
-//     that differs from its first arrival is a determinism violation,
-//     not a duplicate;
 //   - DLQ: a dead-letter queue that quarantines retry-exhausted and
 //     malformed trials to an fsync'd JSONL sidecar carrying the full
 //     per-attempt error chain, replayed on open so a restart never
@@ -30,13 +24,17 @@
 //
 // Plane composes them into the standard pipeline the campaign engine,
 // the fleet coordinator and the job server all wire in through a plain
-// observer callback. The plane is strictly observational on the result
-// path: Result values and checkpoint-journal bytes are bit-identical
-// with the plane enabled or disabled (pinned by test and CI smoke).
+// observer callback that runs on the producer's goroutine. The plane
+// counts every record it is handed; keeping duplicates out is the
+// caller's job (campaign.RunContext delivers each trial once, and the
+// fleet coordinator filters steal-overlap and re-lease repeats). The
+// plane is strictly observational on the result path: Result values
+// and checkpoint-journal bytes are bit-identical with the plane
+// enabled or disabled (pinned by test and CI smoke).
 //
-// Every operator is context-cancellable and driven by an injectable
-// Clock, so the determinism linter's wall-clock guarantees hold and
-// the -progress readout is testable under a fake clock.
+// Frame throttling is driven by an injectable Clock, so the
+// determinism linter's wall-clock guarantees hold and the -progress
+// readout is testable under a fake clock.
 package stream
 
 import (

@@ -6,7 +6,7 @@ import (
 )
 
 // Window is a sliding count-window SDC-rate aggregator: it remembers
-// the classification of the last Size admitted records and reports the
+// the classification of the last Size observed records and reports the
 // SDC rate over just that window. A campaign's lifetime rate converges
 // and stops moving; the windowed rate is what shows drift — a workload
 // phase with a different vulnerability profile, or a sick worker
