@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -341,10 +342,15 @@ func Run(prog *asm.Program, spec Spec) (Result, error) {
 // RunContext is Run under a context. Cancelling ctx degrades the
 // campaign instead of aborting it: scheduling stops within one trial
 // quantum, in-flight trials are interrupted (they observe ctx through
-// the trial runners), every completed trial is already flushed to the
-// checkpoint journal, and the partial Result comes back alongside
-// errors.Join(ErrInterrupted, cause) — so a cancelled campaign is a
-// resumable checkpoint, not a wasted run.
+// the trial runners), every classified trial of a finished chunk is
+// already written to the checkpoint journal, and the partial Result
+// comes back alongside errors.Join(ErrInterrupted, cause) — so a
+// cancelled campaign is a resumable checkpoint, not a wasted run.
+//
+// The journal takes one write per worker chunk (at most Spec.Batch
+// records, in index order, encoded with TrialRecord.AppendJSON), so a
+// kill of the process loses at most the chunks in flight; a resume
+// re-runs them deterministically.
 func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, error) {
 	spec = spec.withDefaults()
 	res := Result{
@@ -427,26 +433,9 @@ func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, erro
 		// batch panics.
 		chunks := chunkIndices(todo, spec.Batch)
 		out, mapErr := sweep.MapContext(ctx, chunks, spec.Workers, func(ctx context.Context, chunk []int) ([]TrialRecord, error) {
-			crecs, err := runTrialChunk(ctx, prog, g, spec, key, chunk)
-			// Journal every classified lane — including the ones a
-			// cancelled batch completed before the interrupt — in
-			// trial-index order, so the journal byte stream is
-			// identical across batch widths.
-			for j := range crecs {
-				if crecs[j].Key == "" {
-					continue
-				}
-				if spec.Observer != nil {
-					spec.Observer(crecs[j])
-				}
-				if jn == nil {
-					continue
-				}
-				// Flushed to the OS per record, not fsync'd: a
-				// completed trial survives a kill of the process.
-				if jerr := jn.Append(&crecs[j], false); jerr != nil {
-					return crecs, fmt.Errorf("campaign: checkpoint trial %d: %w", crecs[j].Index, jerr)
-				}
+			crecs, err := runTrialChunk(ctx, prog, g, spec, key, res.Prog, chunk)
+			if jerr := journalChunk(jn, crecs, spec.Observer); jerr != nil {
+				return crecs, jerr
 			}
 			return crecs, err
 		})
@@ -509,6 +498,46 @@ func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, erro
 		return res, errors.Join(ErrInterrupted, err)
 	}
 	return res, res.finish(recs, res.Ran, spec)
+}
+
+// lineBufs recycles the per-chunk journal buffers across workers.
+var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// journalChunk hands every classified record of a chunk — including
+// the ones a cancelled batch completed before the interrupt — to the
+// observer, and appends them to jn (when non-nil) in one write, in
+// trial-index order, so the journal byte stream is identical across
+// batch widths. The write reaches the OS, not the disk: a completed
+// chunk survives a kill of the process.
+func journalChunk(jn *journal.Log, crecs []TrialRecord, observe func(TrialRecord)) error {
+	if observe != nil {
+		for j := range crecs {
+			if crecs[j].Key != "" {
+				observe(crecs[j])
+			}
+		}
+	}
+	if jn == nil {
+		return nil
+	}
+	buf := lineBufs.Get().(*[]byte)
+	defer lineBufs.Put(buf)
+	lines := (*buf)[:0]
+	first := -1
+	for j := range crecs {
+		if crecs[j].Key == "" {
+			continue
+		}
+		if first < 0 {
+			first = crecs[j].Index
+		}
+		lines = append(crecs[j].AppendJSON(lines), '\n')
+	}
+	*buf = lines
+	if err := jn.AppendLines(lines, false); err != nil {
+		return fmt.Errorf("campaign: checkpoint chunk from trial %d: %w", first, err)
+	}
+	return nil
 }
 
 // finish aggregates the first `ran` trial records into the Result in
@@ -598,8 +627,8 @@ var executeTrial = execute
 // classified OutcomeHang like a step-budget livelock. The returned
 // error is non-nil only when ctx was cancelled mid-trial: the trial has
 // no outcome and must not be journaled or tallied.
-func runTrial(ctx context.Context, prog *asm.Program, g *emu.Machine, spec Spec, key string, idx int) (TrialRecord, error) {
-	rec := TrialRecord{Key: key, Prog: ProgHash(prog), Seed: spec.Seed, Index: idx}
+func runTrial(ctx context.Context, prog *asm.Program, g *emu.Machine, spec Spec, key, hash string, idx int) (TrialRecord, error) {
+	rec := TrialRecord{Key: key, Prog: hash, Seed: spec.Seed, Index: idx}
 	var lastErr error
 	var chain []string
 	for attempt := 0; attempt <= spec.Retries; attempt++ {
@@ -661,18 +690,19 @@ func chunkIndices(idxs []int, width int) [][]int {
 }
 
 // runTrialChunk executes a group of trials through the batched lane
-// kernels. The scalar runTrial path handles chunk width 1, wall-clock
+// kernels, stamping each record with the params key and the caller's
+// program hash. The scalar runTrial path handles chunk width 1, wall-clock
 // watchdog campaigns (a per-lane deadline cannot be enforced inside a
 // shared kernel), and any lane the kernel hands back with a harness
 // error — preserving the scalar retry-with-reseed contract exactly.
 // The returned slice parallels chunk; a zero record (empty Key) means
 // the trial was interrupted before classification and must not be
 // journaled or tallied.
-func runTrialChunk(ctx context.Context, prog *asm.Program, g *emu.Machine, spec Spec, key string, chunk []int) ([]TrialRecord, error) {
+func runTrialChunk(ctx context.Context, prog *asm.Program, g *emu.Machine, spec Spec, key, hash string, chunk []int) ([]TrialRecord, error) {
 	recs := make([]TrialRecord, len(chunk))
 	if len(chunk) == 1 || spec.Batch <= 1 || spec.TrialTimeout > 0 {
 		for j, i := range chunk {
-			rec, err := runTrial(ctx, prog, g, spec, key, i)
+			rec, err := runTrial(ctx, prog, g, spec, key, hash, i)
 			if err != nil {
 				return recs, err
 			}
@@ -685,7 +715,6 @@ func runTrialChunk(ctx context.Context, prog *asm.Program, g *emu.Machine, spec 
 	// starts) and resolve detection from the coverage map, mirroring
 	// execute(). ECC-covered Reunion strikes are corrected before
 	// execution ever observes them, so they classify inline.
-	hash := ProgHash(prog)
 	kTrials := make([]fault.BatchTrial, 0, len(chunk))
 	kPos := make([]int, 0, len(chunk)) // kernel lane -> position in chunk
 	pending := make([]TrialRecord, 0, len(chunk))
@@ -741,7 +770,7 @@ func runTrialChunk(ctx context.Context, prog *asm.Program, g *emu.Machine, spec 
 			// The kernel could not classify the lane (an invalid site,
 			// unreachable for derived sites): the scalar path owns it,
 			// including retries.
-			rec, err := runTrial(ctx, prog, g, spec, key, chunk[j])
+			rec, err := runTrial(ctx, prog, g, spec, key, hash, chunk[j])
 			if err != nil {
 				return recs, err
 			}

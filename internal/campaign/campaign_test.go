@@ -446,6 +446,56 @@ func TestRunContextCancelResumesBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(full, got) {
 		t.Errorf("resumed result differs from uninterrupted run:\nfull:    %+v\nresumed: %+v", full, got)
 	}
+
+	t.Run("kill inside the last chunk write", func(t *testing.T) {
+		resumeFromEveryCutOfLastChunk(t, prog)
+	})
+}
+
+// resumeFromEveryCutOfLastChunk pins the chunk-granular journal
+// contract: each worker chunk is one write, so a kill can land at any
+// byte of it. The journal of a finished single-worker run is cut at
+// every offset of its last chunk's write, and each resume must
+// reproduce the uninterrupted Result and journal. With one worker the
+// journal is in index order, so the journal check is byte-for-byte.
+func resumeFromEveryCutOfLastChunk(t *testing.T, prog *asm.Program) {
+	spec := Spec{Scheme: SchemeUnSync, Trials: 40, Seed: 11, MaxSteps: 100_000, Workers: 1, Batch: 8}
+	dir := t.TempDir()
+	ref := spec
+	ref.Checkpoint = filepath.Join(dir, "ref.jsonl")
+	want, err := Run(prog, ref)
+	if err != nil {
+		t.Fatalf("uninterrupted run: %v", err)
+	}
+	full, err := os.ReadFile(ref.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(full, []byte{'\n'})
+	start := len(full) - len(bytes.Join(lines[spec.Trials-spec.Batch:], nil))
+
+	resumed := spec
+	resumed.Checkpoint = filepath.Join(dir, "ck.jsonl")
+	resumed.Resume = true
+	for cut := start; cut <= len(full); cut++ {
+		if err := os.WriteFile(resumed.Checkpoint, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(prog, resumed)
+		if err != nil {
+			t.Fatalf("cut at byte %d: resumed run: %v", cut, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("cut at byte %d: resumed result differs:\nfull:    %+v\nresumed: %+v", cut, want, got)
+		}
+		journal, err := os.ReadFile(resumed.Checkpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(journal, full) {
+			t.Fatalf("cut at byte %d: resumed journal differs from the uninterrupted one\n%s\n----\n%s", cut, journal[start-300:], full[start-300:])
+		}
+	}
 }
 
 // TestRunContextPreCancelled: a context cancelled before the campaign

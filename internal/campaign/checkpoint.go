@@ -68,8 +68,9 @@ func (r TrialRecord) Equal(o TrialRecord) bool {
 // Key matches key, indexed by trial index, plus a count of records
 // carrying each other key seen in the file: a checkpoint may be shared
 // by several specs, whose lines are well-formed and simply skipped. A
-// missing file is not an error (nothing to resume); the torn-tail
-// policy is journal.Replay's.
+// missing file is not an error (nothing to resume). Lines decode
+// through TrialRecord.DecodeJSON; the torn-tail policy is
+// journal.Replay's.
 func loadJournal(path, key string) (map[int]TrialRecord, map[string]int, error) {
 	recs := make(map[int]TrialRecord)
 	foreign := make(map[string]int)

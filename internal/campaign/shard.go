@@ -44,7 +44,8 @@ func RunShard(ctx context.Context, prog *asm.Program, spec Spec, lo, hi int, ski
 	if err != nil {
 		return err
 	}
-	key := spec.Key(ProgHash(prog))
+	hash := ProgHash(prog)
+	key := spec.Key(hash)
 
 	var todo []int
 	for i := lo; i < hi; i++ {
@@ -59,7 +60,7 @@ func RunShard(ctx context.Context, prog *asm.Program, spec Spec, lo, hi int, ski
 	var emitMu sync.Mutex
 	chunks := chunkIndices(todo, spec.Batch)
 	_, mapErr := sweep.MapContext(ctx, chunks, spec.Workers, func(ctx context.Context, chunk []int) (struct{}, error) {
-		crecs, err := runTrialChunk(ctx, prog, g, spec, key, chunk)
+		crecs, err := runTrialChunk(ctx, prog, g, spec, key, hash, chunk)
 		emitMu.Lock()
 		defer emitMu.Unlock()
 		for j := range crecs {

@@ -570,7 +570,7 @@ func (c *Coordinator) record(rec *campaign.TrialRecord) error {
 	c.mu.Unlock()
 
 	c.cfg.Plane.Observe(*rec)
-	if err := c.jn.Append(journalEvent{Event: evTrial, Rec: rec}, false); err != nil {
+	if err := c.jn.AppendLines(appendTrialEvent(make([]byte, 0, 256), rec), false); err != nil {
 		return errors.Join(errFatal, err)
 	}
 	if completeNow {

@@ -16,9 +16,10 @@ import (
 //
 // Durability contract: lease-protocol events (campaign, lease, split,
 // fail, done, complete) are fsync'd as written — they are the state a
-// restarted coordinator resumes from. Trial lines are flushed to the
-// OS per record and fsync'd no later than the next protocol event, so
-// a shard's "done" event on disk implies every one of its trials is
+// restarted coordinator resumes from. Each trial line (built by
+// appendTrialEvent, not json.Marshal) is one write to the OS as its
+// record arrives and is fsync'd no later than the next protocol event,
+// so a shard's "done" event on disk implies every one of its trials is
 // too.
 type journalEvent struct {
 	Event string `json:"event"`
@@ -41,6 +42,15 @@ type journalEvent struct {
 
 	// trial
 	Rec *campaign.TrialRecord `json:"rec,omitempty"`
+}
+
+// appendTrialEvent appends the journal line recording rec to b: the
+// bytes journal.Line(journalEvent{Event: evTrial, Rec: rec}) writes,
+// built with TrialRecord.AppendJSON.
+func appendTrialEvent(b []byte, rec *campaign.TrialRecord) []byte {
+	b = append(b, `{"event":"trial","lo":0,"hi":0,"rec":`...)
+	b = rec.AppendJSON(b)
+	return append(b, "}\n"...)
 }
 
 // Journal event names.

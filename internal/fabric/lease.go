@@ -76,8 +76,8 @@ func (c *Coordinator) lease(ctx context.Context, url string, g grant) error {
 			if len(raw) == 0 {
 				continue
 			}
-			var l serve.ShardLine
-			if uerr := json.Unmarshal(raw, &l); uerr != nil {
+			l, uerr := serve.DecodeShardLine(raw)
+			if uerr != nil {
 				// A torn final line from a killed worker: the stream is
 				// over as far as protocol goes.
 				break

@@ -5,7 +5,6 @@ import (
 	"os"
 
 	"github.com/cmlasu/unsync/internal/campaign"
-	"github.com/cmlasu/unsync/internal/journal"
 )
 
 // merge turns the deduped record map into the campaign's aggregate
@@ -16,7 +15,7 @@ import (
 // given params key there is exactly one valid record per index — the
 // dedupe in record() keeps the first arrival and verifies later copies
 // byte-identical. Sorting by index and re-encoding each record with
-// the same journal.Line the single-node checkpoint uses therefore
+// the same TrialRecord.AppendJSON the single-node checkpoint uses therefore
 // reproduces a single-node -workers 1 checkpoint journal byte for
 // byte, and campaign.AggregateRecords folds the same records through
 // the same index-ordered aggregation as a single-node finish.
@@ -52,18 +51,15 @@ func (c *Coordinator) merge() (campaign.Result, error) {
 	return res, nil
 }
 
-// writeMerged writes the canonical merged journal: one journal.Line
-// per TrialRecord in trial-index order — the byte stream a
-// single-node -workers 1 run journals. Written whole then fsync'd; the
-// coordinator journal, not this file, is the durable state.
+// writeMerged writes the canonical merged journal: one
+// TrialRecord.AppendJSON line per record in trial-index order — the
+// byte stream a single-node -workers 1 run journals. Written whole then
+// fsync'd; the coordinator journal, not this file, is the durable
+// state.
 func writeMerged(path string, recs []*campaign.TrialRecord) error {
 	var buf []byte
 	for _, rec := range recs {
-		line, err := journal.Line(rec)
-		if err != nil {
-			return fmt.Errorf("fabric: merged record %d: %w", rec.Index, err)
-		}
-		buf = append(buf, line...)
+		buf = append(rec.AppendJSON(buf), '\n')
 	}
 	f, err := os.Create(path)
 	if err != nil {

@@ -78,9 +78,12 @@ func TailCases(lines [][]byte) []Case {
 		})
 	}
 	if n > 0 {
+		// The cut at len(last) keeps the whole final record but not its
+		// '\n': a write that landed every byte but the last. Open drops
+		// the unterminated line, so a loader must not recover it either.
 		last := lines[n-1]
-		for _, cut := range []int{1, len(last) / 2, len(last) - 1} {
-			if cut <= 0 || cut >= len(last) {
+		for _, cut := range []int{1, len(last) / 2, len(last) - 1, len(last)} {
+			if cut <= 0 || cut > len(last) {
 				continue
 			}
 			cases = append(cases, Case{

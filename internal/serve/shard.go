@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -43,6 +44,38 @@ type ShardLine struct {
 	// Err reports a shard cut short worker-side (cancellation, panic
 	// isolation). Records already streamed remain valid.
 	Err string `json:"err,omitempty"`
+}
+
+// AppendRecordLine appends the shard-stream line carrying rec to b:
+// the bytes a json.Encoder writes for ShardLine{Rec: rec}, built with
+// TrialRecord.AppendJSON.
+func AppendRecordLine(b []byte, rec *campaign.TrialRecord) []byte {
+	b = append(b, `{"rec":`...)
+	b = rec.AppendJSON(b)
+	return append(b, "}\n"...)
+}
+
+// recLinePrefix opens every record line AppendRecordLine writes.
+var recLinePrefix = []byte(`{"rec":{"key":"`)
+
+// DecodeShardLine decodes one shard-stream line (without its '\n') as
+// json.Unmarshal would into a zero ShardLine: the same value and the
+// same error. A record line decodes its record through
+// TrialRecord.DecodeJSON; any other line (EOF, Err, or a record line
+// that is not exactly {"rec":<record>}) is decoded whole by
+// json.Unmarshal.
+func DecodeShardLine(raw []byte) (ShardLine, error) {
+	if bytes.HasPrefix(raw, recLinePrefix) && raw[len(raw)-1] == '}' {
+		// The inner text starts with '{', so once it decodes as a
+		// record the whole line is that one-key object.
+		var rec campaign.TrialRecord
+		if rec.DecodeJSON(raw[len(`{"rec":`):len(raw)-1]) == nil {
+			return ShardLine{Rec: &rec}, nil
+		}
+	}
+	var l ShardLine
+	err := json.Unmarshal(raw, &l)
+	return l, err
 }
 
 // handleShards serves POST /api/v1/shards: execute one leased trial
@@ -124,8 +157,10 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	sent := 0
+	var line []byte // RunShard serializes emit, so one buffer serves every record
 	emit := func(rec campaign.TrialRecord) error {
-		if err := enc.Encode(ShardLine{Rec: &rec}); err != nil {
+		line = AppendRecordLine(line[:0], &rec)
+		if _, err := w.Write(line); err != nil {
 			return err // client gone; stop the shard
 		}
 		if flusher != nil {

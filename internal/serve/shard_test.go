@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"github.com/cmlasu/unsync/internal/campaign"
@@ -21,7 +23,10 @@ func shardKey(t *testing.T, params CampaignParams) string {
 	return params.Spec().Key(campaign.ProgHash(prog))
 }
 
-// postShard POSTs a shard request and decodes the NDJSON stream.
+// postShard POSTs a shard request and decodes the NDJSON stream. Every
+// line must be byte-identical to json.Marshal of the ShardLine it
+// decodes to, and DecodeShardLine must decode it exactly as
+// json.Unmarshal does.
 func postShard(t *testing.T, ts *httptest.Server, req ShardRequest) (*http.Response, []ShardLine) {
 	t.Helper()
 	b, err := json.Marshal(req)
@@ -41,6 +46,12 @@ func postShard(t *testing.T, ts *httptest.Server, req ShardRequest) (*http.Respo
 			var line ShardLine
 			if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 				t.Fatalf("shard stream line %q: %v", sc.Bytes(), err)
+			}
+			if want, _ := json.Marshal(line); !bytes.Equal(sc.Bytes(), want) {
+				t.Fatalf("shard stream line\n got %s\nwant %s", sc.Bytes(), want)
+			}
+			if got, err := DecodeShardLine(sc.Bytes()); err != nil || !reflect.DeepEqual(got, line) {
+				t.Fatalf("DecodeShardLine(%s) = %+v, %v; json.Unmarshal gives %+v", sc.Bytes(), got, err, line)
 			}
 			lines = append(lines, line)
 		}
@@ -152,5 +163,55 @@ func TestShardSkipListSuppressesDoneTrials(t *testing.T) {
 	}
 	if len(seen) != 7 {
 		t.Fatalf("streamed %d distinct indices, want 7", len(seen))
+	}
+}
+
+// TestShardLineCodecMatchesJSON pins the shard wire format to
+// encoding/json in both directions, on the lines a worker writes and
+// on ones it never does: AppendRecordLine writes what a json.Encoder
+// writes for ShardLine{Rec: rec}, and DecodeShardLine decodes any line
+// as json.Unmarshal does.
+func TestShardLineCodecMatchesJSON(t *testing.T) {
+	recs := []campaign.TrialRecord{
+		{Key: "k", Prog: "p", Seed: 7, Index: 3, Space: "int-reg", Reg: 4, Bit: 9, Step: 12, Detected: true, Attempts: 1, Outcome: "benign"},
+		{Key: "k", Prog: "p", Seed: 7, Index: 4, Space: "mem", Addr: 65544, Attempts: 2, Err: "site <bad> & \"quoted\"", AttemptErrs: []string{"a b"}},
+	}
+	var lines [][]byte
+	for i := range recs {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(ShardLine{Rec: &recs[i]}); err != nil {
+			t.Fatal(err)
+		}
+		got := AppendRecordLine(nil, &recs[i])
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("AppendRecordLine\n got %s\nwant %s", got, want.Bytes())
+		}
+		lines = append(lines, bytes.TrimSuffix(got, []byte("\n")))
+	}
+	canon := string(lines[0])
+	for _, s := range []string{
+		`{"eof":true,"sent":10}`,
+		`{"err":"boom"}`,
+		`{"rec":null}`,
+		`{"rec":{"key":"k"}}`,
+		`{"rec":{"key":"k"} }`,
+		`{"rec":{"key":"k"},"eof":true}`,
+		`{"rec":{"key":"k"},"rec":null}`,
+		`{"rec":{"key":"k","i":"x"}}`,
+		`{"rec":{"key":"k"}`,
+		canon[:len(canon)-1],
+		canon + "}",
+		` ` + canon,
+		`not json`,
+	} {
+		lines = append(lines, []byte(s))
+	}
+	for _, raw := range lines {
+		var want ShardLine
+		werr := json.Unmarshal(raw, &want)
+		got, gerr := DecodeShardLine(raw)
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("DecodeShardLine(%s) = %+v, %v; json.Unmarshal gives %+v, %v", raw, got, gerr, want, werr)
+		}
 	}
 }
