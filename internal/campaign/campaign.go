@@ -445,7 +445,7 @@ func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, erro
 				if k >= len(out) || j >= len(out[k]) {
 					continue
 				}
-				rec := out[k][j]
+				rec := &out[k][j]
 				if rec.Key == "" {
 					// No record: the trial was cancelled, never scheduled
 					// (sweep aborted), or panicked before producing one.
@@ -455,7 +455,7 @@ func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, erro
 					// and is excluded from the tally.
 					continue
 				}
-				recs[i] = &rec
+				recs[i] = rec
 			}
 		}
 		newly += len(todo)
@@ -717,14 +717,14 @@ func runTrialChunk(ctx context.Context, prog *asm.Program, g *emu.Machine, spec 
 	// execution ever observes them, so they classify inline.
 	kTrials := make([]fault.BatchTrial, 0, len(chunk))
 	kPos := make([]int, 0, len(chunk)) // kernel lane -> position in chunk
-	pending := make([]TrialRecord, 0, len(chunk))
 	for j, i := range chunk {
 		step, f := deriveSite(spec, g.InstCount, prog, i, 0)
-		rec := TrialRecord{
+		recs[j] = TrialRecord{
 			Key: key, Prog: hash, Seed: spec.Seed, Index: i,
 			Space: f.Space.String(), Reg: f.Index, Bit: f.Bit, Addr: f.Addr,
 			Step: step, Attempts: 1,
 		}
+		rec := &recs[j]
 		det := spec.Coverage.Detects(f.Space)
 		bt := fault.BatchTrial{Step: step, Flip: f}
 		if spec.Scheme == SchemeReunion {
@@ -732,7 +732,6 @@ func runTrialChunk(ctx context.Context, prog *asm.Program, g *emu.Machine, spec 
 			case fault.DetectECC:
 				rec.Detected = true
 				rec.Outcome = fault.OutcomeRecovered.String()
-				recs[j] = rec
 				continue
 			case fault.DetectFingerprint:
 				bt.Transient = true
@@ -746,7 +745,6 @@ func runTrialChunk(ctx context.Context, prog *asm.Program, g *emu.Machine, spec 
 		rec.Detected = bt.Detected
 		kTrials = append(kTrials, bt)
 		kPos = append(kPos, j)
-		pending = append(pending, rec)
 	}
 	if len(kTrials) == 0 {
 		return recs, nil
@@ -763,8 +761,9 @@ func runTrialChunk(ctx context.Context, prog *asm.Program, g *emu.Machine, spec 
 	}
 	spec.Stats.add(bs)
 
-	for k := range out {
-		j := kPos[k]
+	// A kernel lane's record holds its site until the outcome is
+	// known; a lane left unclassified goes back to the zero record.
+	for k, j := range kPos {
 		switch {
 		case out[k].Err != nil:
 			// The kernel could not classify the lane (an invalid site,
@@ -772,13 +771,16 @@ func runTrialChunk(ctx context.Context, prog *asm.Program, g *emu.Machine, spec 
 			// including retries.
 			rec, err := runTrial(ctx, prog, g, spec, key, hash, chunk[j])
 			if err != nil {
+				for _, j := range kPos[k:] {
+					recs[j] = TrialRecord{}
+				}
 				return recs, err
 			}
 			recs[j] = rec
 		case out[k].Done:
-			rec := pending[k]
-			rec.Outcome = out[k].Outcome.String()
-			recs[j] = rec
+			recs[j].Outcome = out[k].Outcome.String()
+		default:
+			recs[j] = TrialRecord{}
 		}
 	}
 	return recs, kerr

@@ -3,19 +3,65 @@ package emu
 import (
 	"encoding/binary"
 	"fmt"
-	"maps"
 	"math"
 
 	"github.com/cmlasu/unsync/internal/isa"
 )
 
+// lineBits sets the copy-on-write granularity of lane memory: 64-byte
+// lines, so a line never straddles a base page.
+const (
+	lineBits = 6
+	lineSize = 1 << lineBits
+)
+
+type line [lineSize]byte
+
+// lineRef is one entry of an overlay's line table: the lane's view of
+// the line with tag addr>>lineBits. A shared line may be referenced by
+// other lanes of the batch as well and is copied before the lane first
+// writes it.
+type lineRef struct {
+	tag    uint64
+	ln     *line
+	shared bool
+}
+
+// lineSlab hands out the lines of one Lanes batch. Each chunk is as
+// large as everything handed out before it, so the slab doubles with
+// what the batch actually writes instead of reserving a fixed block
+// per batch.
+type lineSlab struct {
+	free []line
+	used int
+}
+
+// minSlabChunk is the first chunk's size in lines.
+const minSlabChunk = 4
+
+func (s *lineSlab) alloc() *line {
+	if len(s.free) == 0 {
+		s.free = make([]line, max(minSlabChunk, s.used))
+	}
+	ln := &s.free[0]
+	s.free = s.free[1:]
+	s.used++
+	return ln
+}
+
 // Overlay is a per-lane copy-on-write view over a shared base memory.
 // The base is the program's immutable initial image (one per decoded
-// program); every write lands in the lane's private dirty-byte map, so
-// B trial lanes share one data image instead of holding B clones.
+// program). The lane's writes land in 64-byte lines listed in a small
+// table sorted by line tag; anything not in the table reads through to
+// the base, so B trial lanes share one data image instead of holding B
+// clones. Lanes.Fork copies the table and marks every entry shared in
+// both lanes; whichever lane writes a shared line first copies its 64
+// bytes. Lines come from the owning Lanes' slab. An Overlay must not
+// be copied: fork it with Lanes.Fork.
 type Overlay struct {
 	base  *Memory
-	dirty map[uint64]byte
+	slab  *lineSlab
+	lines []lineRef
 
 	// undo journals every Write while journal is on (from Mark to
 	// Release), so Rewind can return to any mark.
@@ -23,67 +69,125 @@ type Overlay struct {
 	journal bool
 }
 
-// storeUndo is one journaled Write: the bytes it overwrote and which
-// of them were already in the lane's private dirty set.
+// storeUndo is one journaled Write: the width bytes at addr it
+// overwrote, little-endian.
 type storeUndo struct {
 	addr  uint64
-	old   [8]byte
-	dirty uint8 // bit i set: byte addr+i was dirty, holding old[i]
+	old   uint64
 	width uint8
 }
 
-// NewOverlay returns an empty overlay over base. The base is read
-// through, never written.
-func NewOverlay(base *Memory) Overlay {
-	return Overlay{base: base, dirty: make(map[uint64]byte)}
-}
-
-// LoadByte returns the byte at addr, preferring the lane's own writes.
-func (o *Overlay) LoadByte(addr uint64) byte {
-	if b, ok := o.dirty[addr]; ok {
-		return b
+// find returns the table index of the line with tag, or the index at
+// which it would be inserted and false.
+func (o *Overlay) find(tag uint64) (int, bool) {
+	lo, hi := 0, len(o.lines)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if o.lines[m].tag < tag {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	return o.base.LoadByte(addr)
+	return lo, lo < len(o.lines) && o.lines[lo].tag == tag
 }
-
-// StoreByte stores b at addr in the lane's private dirty set.
-func (o *Overlay) StoreByte(addr uint64, b byte) { o.dirty[addr] = b }
 
 // Read returns width bytes at addr as a little-endian unsigned
-// integer, mirroring Memory.Read.
+// integer, mirroring Memory.Read (width 1, 2, 4 or 8). An access
+// inside one line costs one table lookup; one that straddles a line
+// reads byte by byte.
 func (o *Overlay) Read(addr uint64, width int) uint64 {
-	var buf [8]byte
-	for i := 0; i < width; i++ {
-		buf[i] = o.LoadByte(addr + uint64(i))
+	off := int(addr & (lineSize - 1))
+	if off+width > lineSize {
+		var v uint64
+		for i := 0; i < width; i++ {
+			v |= o.Read(addr+uint64(i), 1) << (8 * i)
+		}
+		return v
 	}
-	return binary.LittleEndian.Uint64(buf[:])
+	if k, ok := o.find(addr >> lineBits); ok {
+		return loadLE(o.lines[k].ln[off:], width)
+	}
+	if p := o.base.page(addr, false); p != nil {
+		return loadLE(p[addr&(pageSize-1):], width)
+	}
+	return 0
 }
 
 // Write stores the low width bytes of v at addr, mirroring
-// Memory.Write. While journaling (see Mark) the prior bytes are
-// recorded first.
+// Memory.Write. While journaling (see Mark) the bytes it overwrites
+// are recorded first.
 func (o *Overlay) Write(addr uint64, v uint64, width int) {
 	if o.journal {
-		o.record(addr, width)
+		o.undo = append(o.undo, storeUndo{addr: addr, old: o.Read(addr, width), width: uint8(width)})
 	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	for i := 0; i < width; i++ {
-		o.StoreByte(addr+uint64(i), buf[i])
-	}
+	o.store(addr, v, width)
 }
 
-// record journals the width bytes at addr before a Write overwrites
-// them.
-func (o *Overlay) record(addr uint64, width int) {
-	u := storeUndo{addr: addr, width: uint8(width)}
-	for i := 0; i < width; i++ {
-		if b, ok := o.dirty[addr+uint64(i)]; ok {
-			u.old[i] = b
-			u.dirty |= 1 << i
+// store writes without journaling; a write that straddles a line
+// stores byte by byte.
+func (o *Overlay) store(addr uint64, v uint64, width int) {
+	off := int(addr & (lineSize - 1))
+	if off+width > lineSize {
+		for i := 0; i < width; i++ {
+			o.store(addr+uint64(i), v>>(8*i), 1)
 		}
+		return
 	}
-	o.undo = append(o.undo, u)
+	storeLE(o.private(addr >> lineBits)[off:], v, width)
+}
+
+// private returns the lane's own copy of the line with tag: a shared
+// line is copied first, and a line not yet in the table is filled from
+// the base and inserted.
+func (o *Overlay) private(tag uint64) *line {
+	k, ok := o.find(tag)
+	if ok {
+		e := &o.lines[k]
+		if e.shared {
+			ln := o.slab.alloc()
+			*ln = *e.ln
+			e.ln, e.shared = ln, false
+		}
+		return e.ln
+	}
+	ln := o.slab.alloc()
+	if p := o.base.page(tag<<lineBits, false); p != nil {
+		off := (tag << lineBits) & (pageSize - 1)
+		copy(ln[:], p[off:off+lineSize])
+	}
+	o.lines = append(o.lines, lineRef{})
+	copy(o.lines[k+1:], o.lines[k:])
+	o.lines[k] = lineRef{tag: tag, ln: ln}
+	return ln
+}
+
+// loadLE reads width (1, 2, 4 or 8) little-endian bytes from b.
+func loadLE(b []byte, width int) uint64 {
+	switch width {
+	case 1:
+		return uint64(b[0])
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	}
+	return binary.LittleEndian.Uint64(b)
+}
+
+// storeLE writes the low width (1, 2, 4 or 8) bytes of v to b,
+// little-endian.
+func storeLE(b []byte, v uint64, width int) {
+	switch width {
+	case 1:
+		b[0] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	default:
+		binary.LittleEndian.PutUint64(b, v)
+	}
 }
 
 // Mark returns the current position of the overlay's undo journal,
@@ -97,20 +201,14 @@ func (o *Overlay) Mark() int {
 	return len(o.undo)
 }
 
-// Rewind undoes every Write journaled after mark m, newest first. The
-// dirty set is restored exactly: bytes first written after the mark
-// leave it again.
+// Rewind undoes every Write journaled after mark m, newest first, by
+// storing the recorded bytes back (copying any line shared since).
+// Every byte reads as it did at the mark; lines first written after
+// the mark stay in the table, holding their base contents again.
 func (o *Overlay) Rewind(m int) {
 	for k := len(o.undo) - 1; k >= m; k-- {
 		u := &o.undo[k]
-		for i := 0; i < int(u.width); i++ {
-			a := u.addr + uint64(i)
-			if u.dirty&(1<<i) != 0 {
-				o.dirty[a] = u.old[i]
-			} else {
-				delete(o.dirty, a)
-			}
-		}
+		o.store(u.addr, u.old, int(u.width))
 	}
 	o.undo = o.undo[:m]
 }
@@ -122,17 +220,22 @@ func (o *Overlay) Release() {
 	o.journal = false
 }
 
-// Clone returns a copy-on-write fork of the overlay: the base stays
-// shared, the dirty set is copied. Cost is proportional to the bytes
-// the source lane has written, not to the memory image. The fork does
+// forkFrom makes o a copy-on-write fork of src: it takes src's line
+// table and both tables mark every line shared, so the cost is one
+// table entry per line src holds, not the memory image. The fork does
 // not journal until it is marked.
-func (o *Overlay) Clone() Overlay {
-	return Overlay{base: o.base, dirty: maps.Clone(o.dirty)}
+func (o *Overlay) forkFrom(src *Overlay) {
+	for k := range src.lines {
+		src.lines[k].shared = true
+	}
+	o.lines = append(o.lines[:0], src.lines...)
+	o.undo = o.undo[:0]
+	o.journal = false
 }
 
-// Dirty returns the number of privately written bytes (for stats and
-// tests).
-func (o *Overlay) Dirty() int { return len(o.dirty) }
+// Dirty returns the number of lines in the lane's table — written by
+// the lane or inherited through Fork (for stats and tests).
+func (o *Overlay) Dirty() int { return len(o.lines) }
 
 // Lanes is a batch of B architectural states executing one shared
 // program in lockstep: the structure-of-arrays counterpart of
@@ -162,6 +265,9 @@ type Lanes struct {
 	// Mem is each lane's copy-on-write view of the shared initial
 	// image.
 	Mem []Overlay
+
+	// slab backs every lane's private lines.
+	slab lineSlab
 }
 
 // NewLanes returns n reset lanes over the shared decode: PC 0, zero
@@ -183,7 +289,7 @@ func NewLanes(d *Decoded, n int) *Lanes {
 		l.FRegs[r] = fps[r*n : (r+1)*n : (r+1)*n]
 	}
 	for i := 0; i < n; i++ {
-		l.Mem[i] = NewOverlay(d.image)
+		l.Mem[i] = Overlay{base: d.image, slab: &l.slab}
 	}
 	return l
 }
@@ -193,7 +299,7 @@ func (l *Lanes) Len() int { return len(l.PC) }
 
 // Fork copies lane src's architectural state into lane dst: registers,
 // PC, halt flag, instruction count, output prefix, and a copy-on-write
-// clone of the memory overlay.
+// fork of the memory overlay (see Overlay).
 func (l *Lanes) Fork(dst, src int) {
 	for r := 0; r < isa.NumRegs; r++ {
 		l.Regs[r][dst] = l.Regs[r][src]
@@ -204,7 +310,7 @@ func (l *Lanes) Fork(dst, src int) {
 	l.InstCount[dst] = l.InstCount[src]
 	//unsync:allow-alloc fork runs once per lane, outside the step loop; the copy is bounded by the source output length
 	l.Output[dst] = append(l.Output[dst][:0], l.Output[src]...)
-	l.Mem[dst] = l.Mem[src].Clone()
+	l.Mem[dst].forkFrom(&l.Mem[src])
 }
 
 // Step executes one instruction on lane i, fetching from the lane's

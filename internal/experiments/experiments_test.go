@@ -112,13 +112,16 @@ func TestFig5QuickShape(t *testing.T) {
 	if len(res.Points) != 3 || len(res.Benchmarks) != 2 {
 		t.Fatalf("shape: %d points, %d benches", len(res.Points), len(res.Benchmarks))
 	}
-	// Performance must degrade monotonically-ish along the sweep for
-	// the ROB-saturating benchmarks: last point clearly below first.
+	// The Fig 5 claim for the ROB-saturating benchmarks: every point
+	// after the first is strictly below the first. Not monotone along
+	// the sweep — galgel's loss peaks mid-sweep (quick scale 0.932,
+	// 0.701, 0.727).
 	for i, b := range res.Benchmarks {
 		first := res.Points[0].Relative[i]
-		last := res.Points[len(res.Points)-1].Relative[i]
-		if last >= first {
-			t.Errorf("%s: relative perf did not degrade (%.3f -> %.3f)", b, first, last)
+		for k, p := range res.Points[1:] {
+			if p.Relative[i] >= first {
+				t.Errorf("%s: point %d not below the first (%.3f >= %.3f)", b, k+1, p.Relative[i], first)
+			}
 		}
 	}
 	// galgel's endpoint loss should exceed ammp's (paper: 41% vs 27%).

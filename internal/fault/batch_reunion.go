@@ -31,9 +31,12 @@ import (
 //  3. Undo-log checkpoints. Core A runs on the cursor's own lane slot,
 //     over the shared initial image. A checkpoint is A's ArchState, its
 //     output length and a mark in the slot overlay's undo journal
-//     (emu.Overlay.Mark/Rewind): a rollback replays the journal back to
-//     the mark instead of restoring a memory clone, and a finished lane
-//     rewinds the slot to the cursor.
+//     (emu.Overlay.Mark/Rewind), which holds only the bytes each Write
+//     overwrote: a rollback stores them back, newest first, to the mark
+//     instead of restoring a memory clone, and a finished lane rewinds
+//     the slot to the cursor. Lines a trial touched first stay in the
+//     slot's line table with their image contents, so the steady state
+//     allocates nothing.
 //  4. Reconvergence. A transient strike that rolls back to a clean
 //     checkpoint lands on golden state, so the rest of the run is
 //     golden: Recovered, or Hang when the golden run itself is longer

@@ -40,7 +40,8 @@
 //     structure-of-arrays trial-engine files (cfg.BatchFiles), a
 //     builtin append or make in a statement that indexes lane state
 //     runs once per lane per step and belongs outside the step path —
-//     except sites audited with //unsync:allow-alloc.
+//     except sites audited with //unsync:allow-alloc — and no map type
+//     appears there at all, audited or not.
 //
 // On top of the determinism rules sits a concurrency-safety layer
 // (conc.go) guarding the campaign, sweep and serve planes — the code
@@ -144,7 +145,8 @@ type Config struct {
 	ResilienceDir string
 	// BatchFiles are the module-relative files implementing the batched
 	// structure-of-arrays lane engine, whose per-step hot loops the
-	// lane-alloc rule guards against per-lane heap allocation.
+	// lane-alloc rule guards against per-lane heap allocation and map
+	// types.
 	BatchFiles []string
 	// StreamDirs are the module-relative package directories (and their
 	// subdirectories) whose fan-out loops the blocking-send rule guards:

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -797,6 +798,52 @@ func (l *Lanes) Emit(i int, v uint64) {
 	}
 	if !strings.Contains(fs[0].Msg, "allow-alloc") {
 		t.Errorf("message %q does not mention the audit directive", fs[0].Msg)
+	}
+}
+
+// TestLaneAllocRejectsMaps: a map type in a batch-engine file is
+// flagged wherever it appears — a field, a make, a parameter of a
+// named map type and its use — and no audit directive suppresses it;
+// the same maps outside the batch files are not findings.
+func TestLaneAllocRejectsMaps(t *testing.T) {
+	files := map[string]string{
+		"fixture.go": "package fixture\n",
+		"internal/core/lanes.go": `package core
+
+type Overlay struct {
+	dirty map[uint64]byte
+}
+
+func NewOverlay() Overlay {
+	//unsync:allow-alloc maps are rejected even when audited
+	return Overlay{dirty: make(map[uint64]byte)}
+}
+
+func (o *Overlay) Count(c Counts) int { return len(c) }
+`,
+		"internal/core/other.go": `package core
+
+type Counts map[string]int
+
+func Tally(keys []string) map[string]int {
+	m := make(map[string]int)
+	for _, k := range keys {
+		m[k]++
+	}
+	return m
+}
+`,
+	}
+	fs := runFixture(t, files, "lane-alloc")
+	var lines []int
+	for _, f := range fs {
+		if !strings.Contains(f.Msg, "map type") {
+			t.Errorf("unexpected finding: %v", f)
+		}
+		lines = append(lines, f.Pos.Line)
+	}
+	if want := []int{4, 9, 12, 12}; !slices.Equal(lines, want) {
+		t.Fatalf("map findings on lines %v, want %v: %v", lines, want, fs)
 	}
 }
 

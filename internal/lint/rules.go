@@ -515,7 +515,11 @@ func (m *module) timerLeakRule() []Finding {
 // lane-indexed state there turns a throughput kernel into an allocator
 // benchmark. A builtin append or make in a statement that indexes
 // lane state must either move out of the per-step path or carry an
-// //unsync:allow-alloc audit justifying the allocation.
+// //unsync:allow-alloc audit justifying the allocation. Map types are
+// rejected outright in those files: a map assignment hashes and grows
+// its table per store, and cloning one per fork costs the whole map
+// (lane memory is a line table for that reason), so no audit admits
+// one.
 func (m *module) laneAllocRule() []Finding {
 	var fs []Finding
 	batch := make(map[string]bool, len(m.cfg.BatchFiles))
@@ -531,6 +535,11 @@ func (m *module) laneAllocRule() []Finding {
 				continue
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
+				if e, ok := n.(ast.Expr); ok && isMapTyped(p, e) {
+					fs = append(fs, m.finding("lane-alloc", e.Pos(),
+						"map type in the batch engine: a map store hashes and grows per lane per step and a fork clones the whole map — use slices indexed by lane or a sorted table"))
+					return false
+				}
 				// Only leaf statements: an allocation and a lane index in
 				// the same assignment or expression statement is what
 				// makes the alloc per-lane.
@@ -553,6 +562,16 @@ func (m *module) laneAllocRule() []Finding {
 		}
 	}
 	return fs
+}
+
+// isMapTyped reports whether e is a map type or a map-typed value.
+func isMapTyped(p *pkgInfo, e ast.Expr) bool {
+	tv, ok := p.info.Types[e]
+	if !ok || tv.Type == nil {
+		return false
+	}
+	_, isMap := tv.Type.Underlying().(*types.Map)
+	return isMap
 }
 
 // builtinAlloc returns the first call to the builtin append or make
