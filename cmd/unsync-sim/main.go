@@ -53,8 +53,8 @@ func main() {
 		return
 	}
 
-	// The scheme registry decides what is runnable; an unknown name is
-	// rejected by Run with the registered list in the error.
+	// An unknown scheme name is rejected by Run with the valid names
+	// in the error.
 	s := unsync.Scheme(*scheme)
 
 	rc := unsync.DefaultRunConfig()

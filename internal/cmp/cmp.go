@@ -14,9 +14,9 @@
 // fixed-length measurement window over an identical instruction
 // stream, optionally under a Poisson soft-error process — lives in ONE
 // place: the Drive engine over the Machine interface (engine.go).
-// Schemes are registered by name (RegisterScheme), so adding an
-// organization is O(1): implement Machine, register a builder, and
-// every experiment, sweep and tool can run it.
+// Schemes are selected by name: builderFor maps each of the four
+// built-in names to its Machine builder, and every experiment, sweep
+// and tool runs whatever it returns.
 package cmp
 
 import (
@@ -31,9 +31,7 @@ import (
 	"github.com/cmlasu/unsync/internal/trace"
 )
 
-// Scheme names an architecture in the scheme registry. The four
-// built-in organizations are registered at init; RegisterScheme adds
-// more.
+// Scheme names one of the four built-in architectures.
 type Scheme string
 
 // Built-in schemes.
@@ -98,7 +96,7 @@ type Result struct {
 	// repository-wide taxonomy (internal/events): core pipeline events
 	// (topdown slot buckets included), memory hierarchy events of the
 	// first replica plus the shared L2, and the scheme's own counters.
-	// Every registered scheme fills it through the same helpers
+	// Every scheme fills it through the same helpers
 	// (collectEvents in engine.go), so consumers never dispatch on the
 	// scheme to read a counter.
 	Events events.Counts

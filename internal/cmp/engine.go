@@ -3,8 +3,6 @@ package cmp
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 
 	unsync "github.com/cmlasu/unsync/internal/core"
 	"github.com/cmlasu/unsync/internal/events"
@@ -187,38 +185,24 @@ func DriveContext(ctx context.Context, m Machine, rc RunConfig, plan FaultPlan) 
 // the configuration.
 type Builder func(rc RunConfig, prof trace.Profile) (Machine, error)
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[Scheme]Builder{}
-)
-
-// RegisterScheme installs (or replaces) a scheme builder under the
-// given name. The four built-in organizations register at init; tests
-// and extensions may add more.
-func RegisterScheme(name Scheme, b Builder) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	registry[name] = b
-}
-
-// Schemes returns the registered scheme names, sorted.
+// Schemes returns the runnable scheme names, sorted.
 func Schemes() []Scheme {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]Scheme, 0, len(registry))
-	for name := range registry { //unsync:allow-maprange sorted below
-		out = append(out, name)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return []Scheme{Baseline, Reunion, TMR, UnSync}
 }
 
-// builderFor looks up a scheme's builder.
+// builderFor returns a scheme's builder, false for an unknown name.
 func builderFor(s Scheme) (Builder, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	b, ok := registry[s]
-	return b, ok
+	switch s {
+	case Baseline:
+		return buildBaseline, true
+	case UnSync:
+		return buildUnSync, true
+	case Reunion:
+		return buildReunion, true
+	case TMR:
+		return buildTMR, true
+	}
+	return nil, false
 }
 
 // Run executes the named profile on the selected scheme, error-free.
@@ -248,7 +232,7 @@ func RunInjectedContext(ctx context.Context, s Scheme, rc RunConfig, prof trace.
 	}
 	b, ok := builderFor(s)
 	if !ok {
-		return Result{}, fmt.Errorf("cmp: unknown scheme %q (registered: %v)", s, Schemes())
+		return Result{}, fmt.Errorf("cmp: unknown scheme %q (schemes: %v)", s, Schemes())
 	}
 	m, err := b(rc, prof)
 	if err != nil {
@@ -287,7 +271,7 @@ func hierEvents(h *mem.Hierarchy, core int) events.Counts {
 
 // collectEvents assembles a Result's event map: the core's pipeline
 // counters (topdown buckets included), the memory hierarchy's, and the
-// scheme's own (nil for the baseline). Every registry scheme reports
+// scheme's own (nil for the baseline). Every scheme reports
 // through this one helper so the taxonomy stays uniform.
 func collectEvents(core *pipeline.Core, h *mem.Hierarchy, scheme events.Counts) events.Counts {
 	ev := core.Events()
@@ -297,13 +281,6 @@ func collectEvents(core *pipeline.Core, h *mem.Hierarchy, scheme events.Counts) 
 }
 
 // ---- built-in machines ----
-
-func init() {
-	RegisterScheme(Baseline, buildBaseline)
-	RegisterScheme(UnSync, buildUnSync)
-	RegisterScheme(Reunion, buildReunion)
-	RegisterScheme(TMR, buildTMR)
-}
 
 // baselineMachine wraps a single unprotected core. It implements
 // Machine but not Injector: with no redundancy there is no recovery

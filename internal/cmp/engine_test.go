@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	unsync "github.com/cmlasu/unsync/internal/core"
@@ -299,29 +300,26 @@ func TestInjectionRequiresInjector(t *testing.T) {
 	}
 }
 
-// TestRegisterScheme exercises the registry surface: a custom scheme
-// becomes runnable by name and listed (sorted) alongside the built-ins.
-func TestRegisterScheme(t *testing.T) {
-	RegisterScheme("test-dmr", buildUnSync)
-	res, err := Run("test-dmr", smallRC(), mustProfile(t, "sha"))
-	if err != nil {
-		t.Fatalf("custom scheme: %v", err)
-	}
-	if res.Scheme != "test-dmr" || res.UnSyncStats == nil {
-		t.Errorf("custom scheme result wrong: %+v", res)
-	}
+// TestSchemes pins the fixed scheme list: sorted, every name has a
+// builder, and an unknown name fails listing the valid ones.
+func TestSchemes(t *testing.T) {
 	names := Schemes()
-	found := false
-	for i, n := range names {
-		if i > 0 && names[i-1] >= n {
-			t.Errorf("Schemes() not sorted: %v", names)
-		}
-		if n == "test-dmr" {
-			found = true
+	if want := []Scheme{Baseline, Reunion, TMR, UnSync}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("Schemes() = %v, want %v", names, want)
+	}
+	for _, s := range names {
+		if _, ok := builderFor(s); !ok {
+			t.Errorf("no builder for %s", s)
 		}
 	}
-	if !found {
-		t.Errorf("custom scheme missing from %v", names)
+	_, err := Run("test-dmr", smallRC(), mustProfile(t, "sha"))
+	if err == nil {
+		t.Fatal("unknown scheme accepted")
+	}
+	for _, s := range names {
+		if !strings.Contains(err.Error(), string(s)) {
+			t.Errorf("unknown-scheme error %q does not list %s", err, s)
+		}
 	}
 }
 

@@ -13,7 +13,6 @@ var knownDirectives = map[string]string{
 	"allow-maprange":     "maprange",
 	"allow-panic":        "panic-path",
 	"allow-measure-loop": "measureloop",
-	"allow-unbounded":    "unbounded",
 	"allow-sleep":        "sleep",
 	"allow-timer":        "timer-leak",
 	"allow-goroutine":    "goroutine-leak",

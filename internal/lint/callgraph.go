@@ -55,31 +55,10 @@ func (m *module) panicRule() []Finding {
 		}
 	}
 
-	// BFS, remembering one shortest call chain per function.
-	parent := make(map[*types.Func]*types.Func)
-	seen := make(map[*types.Func]bool)
-	queue := make([]*types.Func, 0, len(roots))
-	for _, r := range roots {
-		if !seen[r] {
-			seen[r] = true
-			queue = append(queue, r)
-		}
-	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		for _, callee := range g.edges[fn] {
-			if !seen[callee] {
-				seen[callee] = true
-				parent[callee] = fn
-				queue = append(queue, callee)
-			}
-		}
-	}
-
+	parent := g.reach(roots...)
 	var fs []Finding
 	for _, site := range g.panics {
-		if !seen[site.fn] {
+		if _, ok := parent[site.fn]; !ok {
 			continue
 		}
 		// Consult the directive only for reachable panics: an
@@ -95,7 +74,7 @@ func (m *module) panicRule() []Finding {
 	return fs
 }
 
-// chain renders the call chain root -> ... -> fn discovered by the BFS.
+// chain renders the call chain root -> ... -> fn discovered by reach.
 func chain(parent map[*types.Func]*types.Func, fn *types.Func) string {
 	var names []string
 	for f := fn; f != nil; f = parent[f] {
@@ -283,13 +262,15 @@ func (g *callGraph) walkBody(m *module, p *pkgInfo, fn *types.Func, body *ast.Bl
 }
 
 // reach returns every function reachable from the roots over the call
-// graph, roots included.
-func (g *callGraph) reach(roots ...*types.Func) map[*types.Func]bool {
-	seen := make(map[*types.Func]bool)
+// graph, roots included, each mapped to the caller a breadth-first
+// search first reached it from (nil for a root) — one shortest call
+// chain per function.
+func (g *callGraph) reach(roots ...*types.Func) map[*types.Func]*types.Func {
+	parent := make(map[*types.Func]*types.Func)
 	var queue []*types.Func
 	for _, r := range roots {
-		if r != nil && !seen[r] {
-			seen[r] = true
+		if _, seen := parent[r]; r != nil && !seen {
+			parent[r] = nil
 			queue = append(queue, r)
 		}
 	}
@@ -297,11 +278,11 @@ func (g *callGraph) reach(roots ...*types.Func) map[*types.Func]bool {
 		fn := queue[0]
 		queue = queue[1:]
 		for _, callee := range g.edges[fn] {
-			if !seen[callee] {
-				seen[callee] = true
+			if _, seen := parent[callee]; !seen {
+				parent[callee] = fn
 				queue = append(queue, callee)
 			}
 		}
 	}
-	return seen
+	return parent
 }

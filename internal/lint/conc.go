@@ -19,6 +19,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -196,6 +197,20 @@ func isEmptyStruct(t types.Type) bool {
 	return ok && st.NumFields() == 0
 }
 
+// blockingCall names a standard-library call that blocks the calling
+// goroutine — time.Sleep, fsync, WaitGroup.Wait — or returns "".
+func blockingCall(fn *types.Func) string {
+	switch {
+	case fn.Name() == "Sleep" && fn.Pkg() != nil && fn.Pkg().Path() == "time":
+		return "time.Sleep"
+	case fn.Name() == "Sync" && recvTypeString(fn) == "*os.File":
+		return "fsync"
+	case fn.Name() == "Wait" && recvTypeString(fn) == "*sync.WaitGroup":
+		return "WaitGroup.Wait"
+	}
+	return ""
+}
+
 // directBlock returns a description of the first operation in body that
 // can block the calling goroutine, or "". Function literals count only
 // when they run on this goroutine (IIFEs and deferred closures); `go`
@@ -269,20 +284,10 @@ func directBlock(p *pkgInfo, body *ast.BlockStmt) string {
 				}
 				return false
 			case *ast.CallExpr:
-				fn := calleeFunc(p.info, n)
-				if fn == nil {
-					return true
-				}
-				switch {
-				case fn.Name() == "Sleep" && fn.Pkg() != nil && fn.Pkg().Path() == "time":
-					desc = "time.Sleep"
-					return false
-				case fn.Name() == "Sync" && recvTypeString(fn) == "*os.File":
-					desc = "fsync"
-					return false
-				case fn.Name() == "Wait" && recvTypeString(fn) == "*sync.WaitGroup":
-					desc = "WaitGroup.Wait"
-					return false
+				if fn := calleeFunc(p.info, n); fn != nil {
+					if desc = blockingCall(fn); desc != "" {
+						return false
+					}
 				}
 			}
 			return true
@@ -541,14 +546,6 @@ type lockWalker struct {
 	fs *[]Finding
 }
 
-func cloneHeld(held map[string]bool) map[string]bool {
-	c := make(map[string]bool, len(held))
-	for k, v := range held {
-		c[k] = v
-	}
-	return c
-}
-
 func (w *lockWalker) stmts(list []ast.Stmt, held map[string]bool) {
 	for _, s := range list {
 		w.stmt(s, held)
@@ -576,7 +573,7 @@ func (w *lockWalker) stmt(s ast.Stmt, held map[string]bool) {
 		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
 			// A deferred closure runs on this goroutine with whatever is
 			// still held at return; findings anchor at the inner call.
-			w.stmts(lit.Body.List, cloneHeld(held))
+			w.stmts(lit.Body.List, maps.Clone(held))
 		} else {
 			w.call(s.Call, held)
 		}
@@ -607,12 +604,12 @@ func (w *lockWalker) stmt(s ast.Stmt, held map[string]bool) {
 			w.stmt(s.Init, held)
 		}
 		w.expr(s.Cond, held)
-		w.stmts(s.Body.List, cloneHeld(held))
+		w.stmts(s.Body.List, maps.Clone(held))
 		if s.Else != nil {
-			w.stmt(s.Else, cloneHeld(held))
+			w.stmt(s.Else, maps.Clone(held))
 		}
 	case *ast.ForStmt:
-		inner := cloneHeld(held)
+		inner := maps.Clone(held)
 		if s.Init != nil {
 			w.stmt(s.Init, inner)
 		}
@@ -630,7 +627,7 @@ func (w *lockWalker) stmt(s ast.Stmt, held map[string]bool) {
 			}
 		}
 		w.expr(s.X, held)
-		w.stmts(s.Body.List, cloneHeld(held))
+		w.stmts(s.Body.List, maps.Clone(held))
 	case *ast.SelectStmt:
 		hasDefault := false
 		for _, c := range s.Body.List {
@@ -643,7 +640,7 @@ func (w *lockWalker) stmt(s ast.Stmt, held map[string]bool) {
 		}
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CommClause); ok {
-				w.stmts(cc.Body, cloneHeld(held))
+				w.stmts(cc.Body, maps.Clone(held))
 			}
 		}
 	case *ast.SwitchStmt:
@@ -655,7 +652,7 @@ func (w *lockWalker) stmt(s ast.Stmt, held map[string]bool) {
 		}
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, cloneHeld(held))
+				w.stmts(cc.Body, maps.Clone(held))
 			}
 		}
 	case *ast.TypeSwitchStmt:
@@ -664,7 +661,7 @@ func (w *lockWalker) stmt(s ast.Stmt, held map[string]bool) {
 		}
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, cloneHeld(held))
+				w.stmts(cc.Body, maps.Clone(held))
 			}
 		}
 	case *ast.GoStmt:
@@ -693,7 +690,7 @@ func (w *lockWalker) expr(e ast.Expr, held map[string]bool) {
 			return false
 		case *ast.CallExpr:
 			if lit, ok := ast.Unparen(n.Fun).(*ast.FuncLit); ok {
-				w.stmts(lit.Body.List, cloneHeld(held))
+				w.stmts(lit.Body.List, maps.Clone(held))
 				for _, a := range n.Args {
 					w.expr(a, held)
 				}
@@ -714,17 +711,10 @@ func (w *lockWalker) call(call *ast.CallExpr, held map[string]bool) {
 	if fn == nil {
 		return
 	}
-	switch {
-	case fn.Name() == "Sleep" && fn.Pkg() != nil && fn.Pkg().Path() == "time":
-		w.block(call.Pos(), "time.Sleep", held)
-	case fn.Name() == "Sync" && recvTypeString(fn) == "*os.File":
-		w.block(call.Pos(), "fsync", held)
-	case fn.Name() == "Wait" && recvTypeString(fn) == "*sync.WaitGroup":
-		w.block(call.Pos(), "WaitGroup.Wait", held)
-	default:
-		if fn.Pkg() != nil && hasModulePrefix(w.m.path, fn.Pkg().Path()) && w.ci.blocking[fn] {
-			w.block(call.Pos(), fmt.Sprintf("call to %s, which blocks (%s)", qualified(fn), w.ci.why[fn]), held)
-		}
+	if desc := blockingCall(fn); desc != "" {
+		w.block(call.Pos(), desc, held)
+	} else if fn.Pkg() != nil && hasModulePrefix(w.m.path, fn.Pkg().Path()) && w.ci.blocking[fn] {
+		w.block(call.Pos(), fmt.Sprintf("call to %s, which blocks (%s)", qualified(fn), w.ci.why[fn]), held)
 	}
 }
 

@@ -3,7 +3,8 @@
 // fault-injection campaign must replay identically across runs,
 // machines and architecture configurations. This package statically
 // enforces the invariants that make that true over the deterministic
-// simulator packages:
+// simulator packages (rand, wallclock, sleep and timer-leak are rows
+// of one forbidden-call table, applied in a single walk):
 //
 //   - no math/rand (global functions, rand.New, or any other use)
 //     outside internal/trace's seeded xorshift generator;
@@ -29,13 +30,6 @@
 //     one pending timer until it fires, an unbounded pile under churn —
 //     hoist one time.NewTimer with Stop/drain/Reset, except
 //     bounded-cadence loops audited with //unsync:allow-timer;
-//   - no unbounded fault-trial loops: in the fault-trial packages
-//     (cfg.FaultDirs), a for-loop whose condition observes a machine's
-//     Halted flag must also carry a numeric step/rollback budget in
-//     that condition — a faulted machine may never halt (a corrupted
-//     loop counter livelocks), so the watchdog bound belongs in the
-//     loop condition itself — except sites audited with
-//     //unsync:allow-unbounded;
 //   - no per-lane heap allocation in the batched lane engine: in the
 //     structure-of-arrays trial-engine files (cfg.BatchFiles), a
 //     builtin append or make in a statement that indexes lane state
@@ -69,6 +63,11 @@
 //     longer suppresses any finding, names no known rule, or carries no
 //     justification text is itself a finding, so the audit surface can
 //     only shrink.
+//
+// Every rule stays only on evidence: a live audit directive in
+// production code, a finding in the repository's history, or a
+// mutation of production code that it reports and no test catches.
+// DESIGN.md §12 cites the evidence rule by rule.
 //
 // It is built only on the standard library (go/parser, go/ast,
 // go/types, go/importer) so that `go run ./cmd/unsync-lint ./...` works
@@ -134,11 +133,6 @@ type Config struct {
 	// package whose exported surface roots the panic-reachability
 	// analysis ("." for the module root).
 	PublicDir string
-	// FaultDirs are the module-relative fault-trial package directories
-	// (and their subdirectories) where every loop observing a machine's
-	// Halted flag must also carry a numeric step/rollback budget in its
-	// condition (the unbounded rule).
-	FaultDirs []string
 	// ResilienceDir is the one module-relative package directory allowed
 	// to sleep inside loops — it implements the jittered backoff that
 	// the sleep rule points everyone else at.
@@ -173,7 +167,6 @@ func DefaultConfig(root string) Config {
 		RNGFile:       "internal/trace/rng.go",
 		EngineFile:    "internal/cmp/engine.go",
 		PublicDir:     ".",
-		FaultDirs:     []string{"internal/fault", "internal/campaign"},
 		ResilienceDir: "internal/resilience",
 		BatchFiles:    []string{"internal/emu/lanes.go", "internal/fault/batch.go", "internal/fault/batch_reunion.go"},
 		StreamDirs: []string{
@@ -226,16 +219,19 @@ func Run(cfg Config) ([]Finding, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The rules append in a fixed order, the forbidden-call rows each
+	// in their own place: sort.Slice is not stable, so this order
+	// decides how findings of one rule on one line come out.
+	calls := m.forbiddenCallRule()
 	var fs []Finding
-	fs = append(fs, m.randRule()...)
-	fs = append(fs, m.wallclockRule()...)
+	fs = append(fs, calls["rand"]...)
+	fs = append(fs, calls["wallclock"]...)
 	fs = append(fs, m.maprangeRule()...)
 	fs = append(fs, m.uncheckedRule()...)
 	fs = append(fs, m.panicRule()...)
 	fs = append(fs, m.measureLoopRule()...)
-	fs = append(fs, m.unboundedRule()...)
-	fs = append(fs, m.sleepRule()...)
-	fs = append(fs, m.timerLeakRule()...)
+	fs = append(fs, calls["sleep"]...)
+	fs = append(fs, calls["timer-leak"]...)
 	fs = append(fs, m.laneAllocRule()...)
 	fs = append(fs, m.goroutineRule()...)
 	fs = append(fs, m.ctxRule()...)
@@ -328,7 +324,7 @@ func load(cfg Config) (*module, error) {
 		}
 		rel = filepath.ToSlash(rel)
 		p := &pkgInfo{relDir: rel, path: importPath(m.path, rel), files: files}
-		p.deterministic = isDeterministic(cfg.DeterministicDirs, rel)
+		p.deterministic = inDirs(cfg.DeterministicDirs, rel)
 		m.pkgs = append(m.pkgs, p)
 		m.byPath[p.path] = p
 	}
@@ -419,7 +415,9 @@ func importPath(modPath, relDir string) string {
 	return modPath + "/" + relDir
 }
 
-func isDeterministic(dirs []string, rel string) bool {
+// inDirs reports whether the module-relative directory rel is one of
+// dirs or lies below one.
+func inDirs(dirs []string, rel string) bool {
 	for _, d := range dirs {
 		if rel == d || strings.HasPrefix(rel, d+"/") {
 			return true

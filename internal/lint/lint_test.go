@@ -441,91 +441,6 @@ func audited(m *Machine) {
 	}
 }
 
-// TestUnboundedRule checks the fault-trial budget rule: a loop gated
-// only on Halted is flagged, a loop whose condition also carries a
-// numeric step budget is not, and //unsync:allow-unbounded audits an
-// exception.
-func TestUnboundedRule(t *testing.T) {
-	files := map[string]string{
-		"fixture.go": "package fixture\n",
-		"internal/fault/trial.go": `package fault
-
-type machine struct{ Halted bool }
-
-// spin has no budget: a faulted machine may never halt.
-func spin(a *machine) {
-	for !a.Halted {
-		_ = a
-	}
-}
-
-// bounded carries the watchdog in the loop condition.
-func bounded(a *machine) {
-	for steps := uint64(0); !a.Halted && steps < 100; steps++ {
-		_ = a
-	}
-}
-
-// pair bounds a two-machine lockstep loop.
-func pair(a, b *machine, budget uint64) {
-	steps := uint64(0)
-	for (!a.Halted || !b.Halted) && steps < budget {
-		steps++
-	}
-}
-
-// audited is an allowed exception.
-func audited(a *machine) {
-	//unsync:allow-unbounded fixture: progress guaranteed by caller
-	for !a.Halted {
-		_ = a
-	}
-}
-
-// unrelated loops without Halted are out of scope.
-func unrelated() {
-	for i := 0; i < 3; i++ {
-		_ = i
-	}
-}
-`,
-		"internal/other/other.go": `package other
-
-type machine struct{ Halted bool }
-
-// outside FaultDirs: not in scope even without a budget.
-func elsewhere(a *machine) {
-	for !a.Halted {
-		_ = a
-	}
-}
-`,
-	}
-	files["go.mod"] = fixtureGoMod
-	root := writeModule(t, files)
-	cfg := fixtureConfig(root)
-	cfg.FaultDirs = []string{"internal/fault"}
-	findings, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("lint: %v", err)
-	}
-	var got []Finding
-	for _, f := range findings {
-		if f.Rule == "unbounded" {
-			got = append(got, f)
-		}
-	}
-	if len(got) != 1 {
-		t.Fatalf("want exactly the budget-less loop flagged, got %v", got)
-	}
-	if !strings.Contains(got[0].Pos.Filename, "trial.go") || got[0].Pos.Line != 7 {
-		t.Errorf("finding at %s:%d, want trial.go:7", got[0].Pos.Filename, got[0].Pos.Line)
-	}
-	if !strings.Contains(got[0].Msg, "allow-unbounded") {
-		t.Errorf("message should name the audit directive: %s", got[0].Msg)
-	}
-}
-
 func TestSleepRule(t *testing.T) {
 	files := map[string]string{
 		"fixture.go": "package fixture\n",

@@ -4,91 +4,180 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strconv"
 )
 
-// randRule forbids math/rand (and math/rand/v2) in the deterministic
-// simulator packages: its global state is seeded from the wall clock,
-// so any use breaks bit-reproducible replay. The one exemption is the
-// repository's seeded xorshift implementation (cfg.RNGFile).
-func (m *module) randRule() []Finding {
-	var fs []Finding
+// forbiddenCall is one row of the forbidden-call table: references to
+// a package's members that the module may not make in some scope. The
+// rand, wallclock, sleep and timer-leak rules differ only in these
+// fields, so one walk (forbiddenCallRule) applies them all.
+type forbiddenCall struct {
+	rule  string
+	pkgs  []string // import paths of the forbidden package
+	names []string // forbidden members; nil forbids every member
+	// in reports whether the row applies to a file (module-relative
+	// path) of package p; nil applies it module-wide.
+	in func(m *module, p *pkgInfo, file string) bool
+	// loop restricts the row to calls lexically inside a for/range
+	// body; a function literal's body starts outside any loop.
+	loop  bool
+	allow string // audit directive, "" when the rule admits none
+	// msg formats a finding with %[1]s the package path, %[2]s the
+	// member, %[3]s the offending package and %[4]s cfg.RNGFile.
+	// importMsg, when set, also reports the import declaration.
+	msg, importMsg string
+}
+
+var forbiddenCalls = []forbiddenCall{
+	{
+		// math/rand's global state is seeded from the wall clock, so any
+		// use in the deterministic simulator packages breaks
+		// bit-reproducible replay. The one exemption is the seeded
+		// xorshift implementation (cfg.RNGFile).
+		rule: "rand",
+		pkgs: []string{"math/rand", "math/rand/v2"},
+		in: func(m *module, p *pkgInfo, file string) bool {
+			return p.deterministic && file != m.cfg.RNGFile
+		},
+		msg:       "call of %[1]s.%[2]s in deterministic simulator package %[3]s (use the seeded xorshift rng in %[4]s)",
+		importMsg: "import of %[1]s in deterministic simulator package %[3]s (use the seeded xorshift rng in %[4]s)",
+	},
+	{
+		// Simulated time is the only clock the simulator may observe;
+		// progress and benchmark timing is audited.
+		rule:  "wallclock",
+		pkgs:  []string{"time"},
+		names: []string{"Now", "Since"},
+		allow: "allow-wallclock",
+		msg:   "time.%[2]s reads the wall clock; simulation must depend only on simulated time (annotate audited timing code with //unsync:allow-wallclock)",
+	},
+	{
+		// A bare sleep in a loop is a hand-rolled retry — fixed cadence,
+		// no jitter, no context, no cap — the synchronized-stampede
+		// shape resilience.Retry with its full-jitter Backoff replaces.
+		// Only the package implementing that backoff (cfg.ResilienceDir)
+		// may sleep in a loop.
+		rule:  "sleep",
+		pkgs:  []string{"time"},
+		names: []string{"Sleep"},
+		in: func(m *module, p *pkgInfo, _ string) bool {
+			return !inDirs([]string{m.cfg.ResilienceDir}, p.relDir)
+		},
+		loop:  true,
+		allow: "allow-sleep",
+		msg:   "time.%[2]s in a loop is a hand-rolled retry; use resilience.Retry with a jittered Backoff, or audit a genuine polling loop with //unsync:allow-sleep",
+	},
+	{
+		// Each time.After allocates a timer the runtime holds until it
+		// fires, so a select-with-After in a streaming or heartbeat loop
+		// strands one timer per iteration — under churn, an unbounded
+		// pile. The fix is one hoisted time.NewTimer with the
+		// Stop/drain/Reset discipline (internal/fabric's lease
+		// heartbeat).
+		rule:  "timer-leak",
+		pkgs:  []string{"time"},
+		names: []string{"After"},
+		loop:  true,
+		allow: "allow-timer",
+		msg:   "time.%[2]s in a loop strands one pending timer per iteration; hoist a time.NewTimer with Stop/drain/Reset, or audit a bounded-cadence loop with //unsync:allow-timer",
+	},
+}
+
+// forbiddenCallRule applies the forbiddenCalls table in one walk per
+// file and returns the findings keyed by rule. The walk (inspectLoops)
+// carries the for/range nesting depth, so a loop-only row sees each
+// call once however deeply its loops nest.
+func (m *module) forbiddenCallRule() map[string][]Finding {
+	fs := make(map[string][]Finding)
 	for _, p := range m.pkgs {
-		if !p.deterministic {
-			continue
-		}
 		for _, f := range p.files {
-			if m.relFile(f.Pos()) == m.cfg.RNGFile {
-				continue
+			file := m.relFile(f.Pos())
+			var rows []*forbiddenCall
+			for i := range forbiddenCalls {
+				if r := &forbiddenCalls[i]; r.in == nil || r.in(m, p, file) {
+					rows = append(rows, r)
+				}
 			}
-			// The import itself.
 			for _, spec := range f.Imports {
 				path, _ := strconv.Unquote(spec.Path.Value)
-				if path == "math/rand" || path == "math/rand/v2" {
-					fs = append(fs, m.finding("rand", spec.Pos(),
-						"import of %s in deterministic simulator package %s (use the seeded xorshift rng in %s)",
-						path, p.path, m.cfg.RNGFile))
+				for _, r := range rows {
+					if r.importMsg != "" && slices.Contains(r.pkgs, path) {
+						fs[r.rule] = append(fs[r.rule], m.finding(r.rule, spec.Pos(), r.importMsg, path, "", p.path, m.cfg.RNGFile))
+					}
 				}
 			}
-			// Every use site, so the diagnostic lands on the call.
-			ast.Inspect(f, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
+			// callee is the Fun of the call expression visited last: the
+			// walk is pre-order, so a selector equal to it is that call's
+			// callee rather than a function value.
+			var callee *ast.SelectorExpr
+			inspectLoops(f, func(n ast.Node, loops int) {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					callee, _ = n.Fun.(*ast.SelectorExpr)
+				case *ast.SelectorExpr:
+					id, ok := n.X.(*ast.Ident)
+					if !ok {
+						return
+					}
+					pn, ok := p.info.Uses[id].(*types.PkgName)
+					if !ok {
+						return
+					}
+					path, name := pn.Imported().Path(), n.Sel.Name
+					for _, r := range rows {
+						switch {
+						case !slices.Contains(r.pkgs, path),
+							r.names != nil && !slices.Contains(r.names, name),
+							r.loop && (loops == 0 || n != callee),
+							r.allow != "" && m.allowed(r.allow, n.Pos()):
+							continue
+						}
+						fs[r.rule] = append(fs[r.rule], m.finding(r.rule, n.Pos(), r.msg, path, name, p.path, m.cfg.RNGFile))
+					}
 				}
-				id, ok := sel.X.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				pn, ok := p.info.Uses[id].(*types.PkgName)
-				if !ok {
-					return true
-				}
-				imported := pn.Imported().Path()
-				if imported == "math/rand" || imported == "math/rand/v2" {
-					fs = append(fs, m.finding("rand", sel.Pos(),
-						"call of %s.%s in deterministic simulator package %s (use the seeded xorshift rng in %s)",
-						imported, sel.Sel.Name, p.path, m.cfg.RNGFile))
-				}
-				return true
 			})
 		}
 	}
 	return fs
 }
 
-// wallclockRule forbids time.Now and time.Since everywhere in the
-// module: simulated time is the only clock the simulator may observe.
-// Progress/benchmark timing is audited with //unsync:allow-wallclock.
-func (m *module) wallclockRule() []Finding {
-	var fs []Finding
-	for _, p := range m.pkgs {
-		for _, f := range p.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				id, ok := sel.X.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				pn, ok := p.info.Uses[id].(*types.PkgName)
-				if !ok || pn.Imported().Path() != "time" {
-					return true
-				}
-				if name := sel.Sel.Name; name == "Now" || name == "Since" {
-					if !m.allowed("allow-wallclock", sel.Pos()) {
-						fs = append(fs, m.finding("wallclock", sel.Pos(),
-							"time.%s reads the wall clock; simulation must depend only on simulated time (annotate audited timing code with //unsync:allow-wallclock)",
-							name))
-					}
-				}
+// inspectLoops visits every node under root in ast.Inspect's pre-order,
+// passing visit the number of for/range bodies that enclose the node.
+// A function literal's body starts again at zero: it runs when called,
+// not once per iteration of the loop that defines it.
+func inspectLoops(root ast.Node, visit func(n ast.Node, loops int)) {
+	var walk func(n ast.Node, loops int)
+	walk = func(n ast.Node, loops int) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if n == nil {
+				return false
+			}
+			visit(n, loops)
+			var head []ast.Node
+			var body *ast.BlockStmt
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				walk(n.Type, loops)
+				walk(n.Body, 0)
+				return false
+			case *ast.ForStmt:
+				head, body = []ast.Node{n.Init, n.Cond, n.Post}, n.Body
+			case *ast.RangeStmt:
+				head, body = []ast.Node{n.Key, n.Value, n.X}, n.Body
+			default:
 				return true
-			})
-		}
+			}
+			for _, h := range head {
+				if h != nil {
+					walk(h, loops)
+				}
+			}
+			walk(body, loops+1)
+			return false
+		})
 	}
-	return fs
+	walk(root, 0)
 }
 
 // maprangeRule flags range-over-map loops in the deterministic packages
@@ -289,80 +378,6 @@ func (m *module) measureLoopRule() []Finding {
 	return fs
 }
 
-// unboundedRule flags fault-trial loops that lack a step/rollback
-// budget. In the fault-trial packages (cfg.FaultDirs) a for-loop whose
-// condition observes a machine's Halted flag is gated on the faulted
-// machine making progress — but an injected upset can corrupt the very
-// state that drives progress (a loop counter, the PC), so `for
-// !a.Halted` alone can spin forever. The budget must live in the loop
-// condition itself (a numeric comparison alongside the Halted test),
-// where it is impossible to skip; audited exceptions carry
-// //unsync:allow-unbounded.
-func (m *module) unboundedRule() []Finding {
-	var fs []Finding
-	for _, p := range m.pkgs {
-		if !isDeterministic(m.cfg.FaultDirs, p.relDir) {
-			continue
-		}
-		for _, f := range p.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				loop, ok := n.(*ast.ForStmt)
-				if !ok || loop.Cond == nil {
-					return true
-				}
-				if !mentionsHalted(loop.Cond) || hasNumericBound(p, loop.Cond) {
-					return true
-				}
-				if m.allowed("allow-unbounded", loop.Pos()) {
-					return true
-				}
-				fs = append(fs, m.finding("unbounded", loop.Pos(),
-					"fault-trial loop gated only on Halted; a faulted machine may never halt — add a numeric step/rollback budget to the loop condition (or annotate an audited site with //unsync:allow-unbounded)"))
-				return true
-			})
-		}
-	}
-	return fs
-}
-
-// mentionsHalted reports whether the expression reads a field or
-// method named Halted.
-func mentionsHalted(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Halted" {
-			found = true
-			return false
-		}
-		return !found
-	})
-	return found
-}
-
-// hasNumericBound reports whether the expression contains an ordered
-// comparison (<, <=, >, >=) between numeric operands — the shape of a
-// step/rollback budget check.
-func hasNumericBound(p *pkgInfo, e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		bin, ok := n.(*ast.BinaryExpr)
-		if !ok {
-			return !found
-		}
-		switch bin.Op {
-		case token.LSS, token.LEQ, token.GTR, token.GEQ:
-			if tv, ok := p.info.Types[bin.X]; ok {
-				if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsNumeric != 0 {
-					found = true
-					return false
-				}
-			}
-		}
-		return !found
-	})
-	return found
-}
-
 func hasModulePrefix(modPath, pkgPath string) bool {
 	return pkgPath == modPath || len(pkgPath) > len(modPath) &&
 		pkgPath[:len(modPath)] == modPath && pkgPath[len(modPath)] == '/'
@@ -384,129 +399,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return nil
 	}
 	return fn.Origin()
-}
-
-// sleepRule flags time.Sleep inside a for-loop anywhere except the
-// resilience package (cfg.ResilienceDir): a bare sleep in a loop is a
-// hand-rolled retry — fixed cadence, no jitter, no context, no cap —
-// exactly the synchronized-stampede shape resilience.Retry with its
-// full-jitter Backoff exists to replace. Polling loops with an audited
-// reason carry //unsync:allow-sleep.
-func (m *module) sleepRule() []Finding {
-	var fs []Finding
-	seen := map[token.Pos]bool{}
-	for _, p := range m.pkgs {
-		if p.relDir == m.cfg.ResilienceDir ||
-			(len(m.cfg.ResilienceDir) > 0 && len(p.relDir) > len(m.cfg.ResilienceDir) &&
-				p.relDir[:len(m.cfg.ResilienceDir)+1] == m.cfg.ResilienceDir+"/") {
-			continue
-		}
-		for _, f := range p.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				var body *ast.BlockStmt
-				switch loop := n.(type) {
-				case *ast.ForStmt:
-					body = loop.Body
-				case *ast.RangeStmt:
-					body = loop.Body
-				default:
-					return true
-				}
-				ast.Inspect(body, func(inner ast.Node) bool {
-					// Sleeps inside a nested function literal belong to
-					// that function, not this loop.
-					if _, isLit := inner.(*ast.FuncLit); isLit {
-						return false
-					}
-					call, ok := inner.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					sel, ok := call.Fun.(*ast.SelectorExpr)
-					if !ok || sel.Sel.Name != "Sleep" {
-						return true
-					}
-					id, ok := sel.X.(*ast.Ident)
-					if !ok {
-						return true
-					}
-					pn, ok := p.info.Uses[id].(*types.PkgName)
-					if !ok || pn.Imported().Path() != "time" {
-						return true
-					}
-					if seen[call.Pos()] || m.allowed("allow-sleep", call.Pos()) {
-						return true
-					}
-					seen[call.Pos()] = true
-					fs = append(fs, m.finding("sleep", call.Pos(),
-						"time.Sleep in a loop is a hand-rolled retry; use resilience.Retry with a jittered Backoff, or audit a genuine polling loop with //unsync:allow-sleep"))
-					return true
-				})
-				return true
-			})
-		}
-	}
-	return fs
-}
-
-// timerLeakRule flags time.After inside a for-loop (module-wide): each
-// call allocates a timer the runtime holds until it fires, so a
-// select-with-After in a streaming or heartbeat loop strands one timer
-// per iteration — under churn, that is an unbounded pile of pending
-// timers. The fix is one time.NewTimer hoisted out of the loop with the
-// Stop/drain/Reset discipline (see internal/fabric's lease heartbeat);
-// a loop whose iteration cadence genuinely bounds the pile can carry
-// //unsync:allow-timer with the reason.
-func (m *module) timerLeakRule() []Finding {
-	var fs []Finding
-	seen := map[token.Pos]bool{}
-	for _, p := range m.pkgs {
-		for _, f := range p.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				var body *ast.BlockStmt
-				switch loop := n.(type) {
-				case *ast.ForStmt:
-					body = loop.Body
-				case *ast.RangeStmt:
-					body = loop.Body
-				default:
-					return true
-				}
-				ast.Inspect(body, func(inner ast.Node) bool {
-					// An After inside a nested function literal belongs to
-					// that function, not this loop.
-					if _, isLit := inner.(*ast.FuncLit); isLit {
-						return false
-					}
-					call, ok := inner.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					sel, ok := call.Fun.(*ast.SelectorExpr)
-					if !ok || sel.Sel.Name != "After" {
-						return true
-					}
-					id, ok := sel.X.(*ast.Ident)
-					if !ok {
-						return true
-					}
-					pn, ok := p.info.Uses[id].(*types.PkgName)
-					if !ok || pn.Imported().Path() != "time" {
-						return true
-					}
-					if seen[call.Pos()] || m.allowed("allow-timer", call.Pos()) {
-						return true
-					}
-					seen[call.Pos()] = true
-					fs = append(fs, m.finding("timer-leak", call.Pos(),
-						"time.After in a loop strands one pending timer per iteration; hoist a time.NewTimer with Stop/drain/Reset, or audit a bounded-cadence loop with //unsync:allow-timer"))
-					return true
-				})
-				return true
-			})
-		}
-	}
-	return fs
 }
 
 // laneAllocRule guards the batched lane engine's hot loops: the step

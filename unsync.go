@@ -43,9 +43,8 @@ import (
 	"github.com/cmlasu/unsync/internal/trace"
 )
 
-// Scheme names an architecture in the scheme registry: SchemeBaseline,
-// SchemeUnSync, SchemeReunion, SchemeTMR, or any name registered by an
-// extension. Schemes() lists what is runnable.
+// Scheme names an architecture: SchemeBaseline, SchemeUnSync,
+// SchemeReunion or SchemeTMR. Schemes() lists what is runnable.
 type Scheme = cmp.Scheme
 
 // Architecture schemes.
@@ -56,7 +55,7 @@ const (
 	SchemeTMR      = cmp.TMR
 )
 
-// Schemes returns every registered scheme name, sorted.
+// Schemes returns every runnable scheme name, sorted.
 func Schemes() []Scheme { return cmp.Schemes() }
 
 // FaultPlan configures the Poisson soft-error process of an injected
