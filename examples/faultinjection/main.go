@@ -86,17 +86,22 @@ func main() {
 	}
 	fmt.Printf("Reunion, persistent ARF cell upset (outside ROEC):       %v\n\n", o)
 
-	// Campaign view.
-	us, err := unsync.UnSyncFaultCampaign(prog, 30, 7, 100_000)
+	// Campaign view: integer register-file upsets under each scheme's
+	// own coverage map — parity for UnSync, none for Reunion (its ARF is
+	// outside the ROEC, so a flipped cell persists across rollbacks).
+	regs := []unsync.Space{unsync.SpaceIntReg}
+	us, err := unsync.RunCampaign(prog, unsync.CampaignConfig{
+		Scheme: "unsync", Trials: 30, Seed: 7, MaxSteps: 100_000, Spaces: regs})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rp, err := unsync.ReunionFaultCampaign(prog, 30, false, 10, 7, 100_000)
+	rp, err := unsync.RunCampaign(prog, unsync.CampaignConfig{
+		Scheme: "reunion", Trials: 30, Seed: 7, MaxSteps: 100_000, Spaces: regs})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("30-trial campaigns: UnSync %.0f%% correct, Reunion (persistent) %.0f%% correct\n",
-		100*us.CorrectRate(), 100*rp.CorrectRate())
+		100*us.Tally.CorrectRate(), 100*rp.Tally.CorrectRate())
 	fmt.Printf("Reunion unrecoverable trials: %d — the ARF is outside its coverage\n",
-		rp.Unrecoverable)
+		rp.Tally.Unrecoverable)
 }

@@ -33,6 +33,8 @@ type SER = fault.SER
 type (
 	// Flip is one single-bit architectural upset.
 	Flip = fault.Flip
+	// Space is a fault-site space (CampaignConfig.Spaces).
+	Space = fault.Space
 	// Outcome classifies an injection trial (benign / recovered /
 	// unrecoverable / silent corruption).
 	Outcome = fault.Outcome
@@ -74,16 +76,6 @@ func UnSyncFaultTrial(p *Program, step uint64, f Flip, detected bool, maxSteps u
 // (outside it).
 func ReunionFaultTrial(p *Program, step uint64, f Flip, transient bool, fi int, maxSteps uint64) (Outcome, error) {
 	return fault.ReunionTrial(p, step, f, transient, fi, maxSteps)
-}
-
-// UnSyncFaultCampaign runs n deterministic UnSync injections.
-func UnSyncFaultCampaign(p *Program, n int, seed uint64, maxSteps uint64) (CampaignResult, error) {
-	return fault.UnSyncCampaign(p, n, seed, maxSteps)
-}
-
-// ReunionFaultCampaign runs n deterministic Reunion injections.
-func ReunionFaultCampaign(p *Program, n int, transient bool, fi int, seed uint64, maxSteps uint64) (CampaignResult, error) {
-	return fault.ReunionCampaign(p, n, transient, fi, seed, maxSteps)
 }
 
 // Campaign-engine surface (internal/campaign): resilient, parallel,

@@ -1,9 +1,10 @@
-// Package campaign is the resilient fault-injection campaign engine:
-// the production-scale successor to the small serial loops in
-// internal/fault. It reproduces the paper's §VI-D claim — "both
-// architectures execute programs correctly in the presence of errors" —
-// at statistical scale, with the robustness properties a long campaign
-// needs:
+// Package campaign is the fault-injection campaign engine: every
+// campaign in the repository (the §VI-D ROEC study, the coverage study,
+// unsync-fault, the job service and the fleet) runs here, while
+// internal/fault supplies the single-trial kernels. It reproduces the
+// paper's §VI-D claim — "both architectures execute programs correctly
+// in the presence of errors" — at statistical scale, with the
+// robustness properties a long campaign needs:
 //
 //   - coverage-driven detection: whether a flip is detected is resolved
 //     per trial from the scheme's fault.Coverage map (never hardwired),
@@ -237,12 +238,15 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// Validate reports a spec no campaign can run: an unknown scheme, an
-// invalid fault space, or a fingerprint interval below 1. Defaults
-// apply first, so zero fields are valid. RunContext and RunShard call
-// it; the job service calls it at submit.
+// Validate reports a spec no campaign can run: a negative trial count,
+// an unknown scheme, an invalid fault space, or a fingerprint interval
+// below 1. Defaults apply first, so zero fields are valid. RunContext
+// and RunShard call it; the job service calls it at submit.
 func (s Spec) Validate() error {
 	s = s.withDefaults()
+	if s.Trials < 0 {
+		return fmt.Errorf("campaign: negative trial count %d", s.Trials)
+	}
 	if s.Scheme != SchemeUnSync && s.Scheme != SchemeReunion {
 		return fmt.Errorf("campaign: unknown scheme %q (want %s or %s)",
 			s.Scheme, SchemeUnSync, SchemeReunion)
@@ -712,38 +716,23 @@ func runTrialChunk(ctx context.Context, prog *asm.Program, g *emu.Machine, spec 
 	}
 
 	// Derive every lane's site (attempt 0, exactly as the scalar path
-	// starts) and resolve detection from the coverage map, mirroring
-	// execute(). ECC-covered Reunion strikes are corrected before
-	// execution ever observes them, so they classify inline.
+	// starts) and resolve it as execute does; ECC-corrected strikes
+	// classify inline.
 	kTrials := make([]fault.BatchTrial, 0, len(chunk))
 	kPos := make([]int, 0, len(chunk)) // kernel lane -> position in chunk
 	for j, i := range chunk {
 		step, f := deriveSite(spec, g.InstCount, prog, i, 0)
+		detected, transient, corrected := spec.resolve(f.Space)
 		recs[j] = TrialRecord{
 			Key: key, Prog: hash, Seed: spec.Seed, Index: i,
 			Space: f.Space.String(), Reg: f.Index, Bit: f.Bit, Addr: f.Addr,
-			Step: step, Attempts: 1,
+			Step: step, Detected: detected, Attempts: 1,
 		}
-		rec := &recs[j]
-		det := spec.Coverage.Detects(f.Space)
-		bt := fault.BatchTrial{Step: step, Flip: f}
-		if spec.Scheme == SchemeReunion {
-			switch det {
-			case fault.DetectECC:
-				rec.Detected = true
-				rec.Outcome = fault.OutcomeRecovered.String()
-				continue
-			case fault.DetectFingerprint:
-				bt.Transient = true
-				bt.Detected = true
-			default:
-				bt.Detected = det != fault.DetectNone
-			}
-		} else {
-			bt.Detected = det != fault.DetectNone
+		if corrected {
+			recs[j].Outcome = fault.OutcomeRecovered.String()
+			continue
 		}
-		rec.Detected = bt.Detected
-		kTrials = append(kTrials, bt)
+		kTrials = append(kTrials, fault.BatchTrial{Step: step, Flip: f, Transient: transient, Detected: detected})
 		kPos = append(kPos, j)
 	}
 	if len(kTrials) == 0 {
@@ -786,34 +775,47 @@ func runTrialChunk(ctx context.Context, prog *asm.Program, g *emu.Machine, spec 
 	return recs, kerr
 }
 
+// resolve is the coverage policy: it maps a fault space to whether the
+// scheme detects the flip, whether a Reunion flip is in flight
+// (transient) rather than a persistent state upset, and whether ECC
+// corrects it before execution ever observes it. Both the scalar and
+// the batched trial paths classify through it.
+func (s Spec) resolve(sp fault.Space) (detected, transient, corrected bool) {
+	det := s.Coverage.Detects(sp)
+	if s.Scheme != SchemeReunion {
+		return det != fault.DetectNone, false, false
+	}
+	switch det {
+	case fault.DetectFingerprint:
+		// Inside Reunion's ROEC: the corruption is in flight and the
+		// window comparison catches it before commit.
+		return true, true, false
+	case fault.DetectECC:
+		// SECDED corrects the single-bit upset at the next access.
+		return true, false, true
+	default:
+		// Outside the ROEC: a persistent state upset that rollback
+		// cannot scrub.
+		return det != fault.DetectNone, false, false
+	}
+}
+
 // execute runs one derived site through the scheme's recovery
 // semantics, resolving detection from the coverage map.
 func execute(ctx context.Context, prog *asm.Program, g *emu.Machine, spec Spec, step uint64, f fault.Flip) (fault.Outcome, bool, error) {
 	opts := fault.TrialOpts{MaxSteps: spec.MaxSteps, StepBudget: spec.StepBudget, Golden: g, Ctx: ctx}
-	det := spec.Coverage.Detects(f.Space)
-	switch spec.Scheme {
-	case SchemeReunion:
-		switch det {
-		case fault.DetectFingerprint:
-			// Inside Reunion's ROEC: the corruption is in flight and
-			// the window comparison catches it before commit.
-			o, err := fault.RunReunionTrial(prog, step, f, true, spec.FI, opts)
-			return o, true, err
-		case fault.DetectECC:
-			// SECDED corrects the single-bit upset at the next access;
-			// execution never observes it.
-			return fault.OutcomeRecovered, true, nil
-		default:
-			// Outside the ROEC: a persistent state upset that rollback
-			// cannot scrub.
-			o, err := fault.RunReunionTrial(prog, step, f, false, spec.FI, opts)
-			return o, det != fault.DetectNone, err
-		}
-	default: // SchemeUnSync
-		detected := det != fault.DetectNone
-		o, err := fault.RunUnSyncTrial(prog, step, f, detected, opts)
-		return o, detected, err
+	detected, transient, corrected := spec.resolve(f.Space)
+	var o fault.Outcome
+	var err error
+	switch {
+	case corrected:
+		o = fault.OutcomeRecovered
+	case spec.Scheme == SchemeReunion:
+		o, err = fault.RunReunionTrial(prog, step, f, transient, spec.FI, opts)
+	default:
+		o, err = fault.RunUnSyncTrial(prog, step, f, detected, opts)
 	}
+	return o, detected, err
 }
 
 // deriveSite maps (seed, trial index, attempt) to a fault site through

@@ -320,6 +320,14 @@ func TestRunRejectsBadSpec(t *testing.T) {
 	if _, err := Run(prog, Spec{Spaces: []fault.Space{fault.NumSpaces}}); err == nil {
 		t.Error("invalid space accepted")
 	}
+	// A negative trial count used to pass validation and panic in
+	// RunContext's record allocation.
+	if err := (Spec{Trials: -1}).Validate(); err == nil {
+		t.Error("negative trial count accepted")
+	}
+	if _, err := Run(prog, Spec{Trials: -1}); err == nil {
+		t.Error("Run accepted a negative trial count")
+	}
 }
 
 // TestNegativeFIRejected: a negative fingerprint interval used to pass

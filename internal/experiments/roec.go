@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"github.com/cmlasu/unsync/internal/asm"
+	"github.com/cmlasu/unsync/internal/campaign"
 	"github.com/cmlasu/unsync/internal/fault"
 	"github.com/cmlasu/unsync/internal/report"
 )
@@ -58,7 +59,10 @@ type ROECResult struct {
 }
 
 // ROEC runs the coverage study with the given number of functional
-// injection trials per campaign.
+// injection trials per campaign. The three campaigns draw register and
+// PC sites; the coverage map of each decides whether a flip is a
+// detected UnSync upset, an in-flight Reunion upset inside its ROEC, or
+// a persistent architectural upset outside it.
 func ROEC(ctx context.Context, trials int) (ROECResult, error) {
 	prog := asm.MustAssemble(roecProgram)
 
@@ -70,18 +74,25 @@ func ROEC(ctx context.Context, trials int) (ROECResult, error) {
 	res.UnSyncFrac = res.UnSyncBits / res.TotalBits
 	res.ReunionFrac = res.ReunionBits / res.TotalBits
 
-	var err error
-	res.UnSyncCampaign, err = fault.UnSyncCampaignContext(ctx, prog, trials, 101, 1_000_000)
-	if err != nil {
-		return res, err
+	spaces := []fault.Space{fault.SpaceIntReg, fault.SpaceFPReg, fault.SpacePC}
+	campaigns := []struct {
+		out  *fault.CampaignResult
+		spec campaign.Spec
+	}{
+		{&res.UnSyncCampaign, campaign.Spec{Scheme: campaign.SchemeUnSync, Seed: 101}},
+		{&res.ReunionTransient, campaign.Spec{Scheme: campaign.SchemeReunion, Seed: 102,
+			Coverage: fault.Coverage{fault.TargetRegFile: fault.DetectFingerprint, fault.TargetPC: fault.DetectFingerprint}}},
+		{&res.ReunionPersistent, campaign.Spec{Scheme: campaign.SchemeReunion, Seed: 103,
+			Coverage: fault.Coverage{fault.TargetRegFile: fault.DetectNone, fault.TargetPC: fault.DetectNone}}},
 	}
-	res.ReunionTransient, err = fault.ReunionCampaignContext(ctx, prog, trials, true, 10, 102, 1_000_000)
-	if err != nil {
-		return res, err
-	}
-	res.ReunionPersistent, err = fault.ReunionCampaignContext(ctx, prog, trials, false, 10, 103, 1_000_000)
-	if err != nil {
-		return res, err
+	for _, c := range campaigns {
+		c.spec.Trials = trials
+		c.spec.Spaces = spaces
+		r, err := campaign.RunContext(ctx, prog, c.spec)
+		*c.out = r.Tally
+		if err != nil {
+			return res, err
+		}
 	}
 	return res, nil
 }

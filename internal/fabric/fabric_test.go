@@ -137,15 +137,35 @@ func TestFleetMatchesSingleNode(t *testing.T) {
 // killAfter aborts a worker's connection mid-stream after n writes on
 // the first shard request — the in-process stand-in for SIGKILLing the
 // worker: the coordinator sees a torn stream with no terminal line.
-func killAfter(n int64) func(http.Handler) http.Handler {
+// The returned channel closes once the kill has fired.
+func killAfter(n int64) (func(http.Handler) http.Handler, <-chan struct{}) {
 	var used atomic.Bool
+	fired := make(chan struct{})
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if strings.HasSuffix(r.URL.Path, "/shards") && used.CompareAndSwap(false, true) {
-				kw := &killWriter{ResponseWriter: w}
+				kw := &killWriter{ResponseWriter: w, fired: fired}
 				kw.remaining.Store(n)
 				next.ServeHTTP(kw, r)
 				return
+			}
+			next.ServeHTTP(w, r)
+		})
+	}, fired
+}
+
+// holdShardsUntil delays a worker's shard requests until ch closes (or
+// the coordinator abandons the request), so a test can order one
+// worker's progress behind an event on another.
+func holdShardsUntil(ch <-chan struct{}) func(http.Handler) http.Handler {
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/shards") {
+				select {
+				case <-ch:
+				case <-r.Context().Done():
+					return
+				}
 			}
 			next.ServeHTTP(w, r)
 		})
@@ -155,10 +175,15 @@ func killAfter(n int64) func(http.Handler) http.Handler {
 type killWriter struct {
 	http.ResponseWriter
 	remaining atomic.Int64
+	fired     chan struct{}
 }
 
 func (k *killWriter) Write(b []byte) (int, error) {
-	if k.remaining.Add(-1) < 0 {
+	left := k.remaining.Add(-1)
+	if left == -1 {
+		close(k.fired) // the first refused write; later ones panic too
+	}
+	if left < 0 {
 		// net/http tears the TCP connection without a terminal chunk —
 		// exactly what a SIGKILL of the worker process produces.
 		panic(http.ErrAbortHandler)
@@ -176,9 +201,12 @@ func TestFleetWorkerKilledMidShard(t *testing.T) {
 	params := testParams(60)
 	wantJournal, wantResult := singleNodeRun(t, params)
 
-	// Worker 1 dies 8 records into its first shard; worker 2 is healthy.
-	w1 := newWorker(t, killAfter(8))
-	w2 := newWorker(t, nil)
+	// Worker 1 dies 8 records into its first shard; worker 2 is healthy
+	// but serves no shard until the kill has fired, so it cannot finish
+	// the campaign before worker 1's first lease is torn.
+	kill, fired := killAfter(8)
+	w1 := newWorker(t, kill)
+	w2 := newWorker(t, holdShardsUntil(fired))
 	merged, result, snap := runFleet(t, Config{
 		Workers:  []string{w1.URL, w2.URL},
 		Params:   params,

@@ -229,11 +229,6 @@ var ErrGoldenFailed = errors.New("fault: golden run failed")
 // reference machine. Campaigns run it once and share it across trials
 // via TrialOpts.Golden.
 func Golden(prog *asm.Program, maxSteps uint64) (*emu.Machine, error) {
-	return golden(prog, maxSteps)
-}
-
-// golden executes the program fault-free and returns the machine.
-func golden(prog *asm.Program, maxSteps uint64) (*emu.Machine, error) {
 	g := emu.New(prog)
 	if err := g.Run(maxSteps); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrGoldenFailed, err)
@@ -319,7 +314,7 @@ func (o TrialOpts) golden(prog *asm.Program) (*emu.Machine, error) {
 	if o.Golden != nil {
 		return o.Golden, nil
 	}
-	return golden(prog, o.MaxSteps)
+	return Golden(prog, o.MaxSteps)
 }
 
 // RunUnSyncTrial runs one UnSync functional injection: the flip lands on
@@ -656,109 +651,3 @@ func (r CampaignResult) CorrectRate() float64 {
 	}
 	return float64(r.Benign+r.Recovered) / float64(r.Trials)
 }
-
-// randomFlip draws a deterministic flip in the register/PC space. Every
-// draw is in range by construction: PC bits come from [0,6), fp
-// registers from [0,NumRegs), int registers from [1,NumRegs) (r0 is
-// hardwired) and bits from [0,64) — each flip passes Validate.
-func randomFlip(a *Arrivals) Flip {
-	switch a.Pick(8) {
-	case 0:
-		return Flip{Space: SpacePC, Bit: uint8(a.Pick(6))}
-	case 1, 2:
-		return Flip{Space: SpaceFPReg, Index: uint8(a.Pick(isa.NumRegs)), Bit: uint8(a.Pick(64))}
-	default:
-		return Flip{Space: SpaceIntReg, Index: uint8(1 + a.Pick(isa.NumRegs-1)), Bit: uint8(a.Pick(64))}
-	}
-}
-
-// UnSyncCampaign runs n deterministic UnSync injections spread over the
-// program's execution and returns the outcome tally. A failing trial no
-// longer aborts the campaign: every trial runs, the partial tally is
-// always returned, and per-trial errors come back joined.
-func UnSyncCampaign(prog *asm.Program, n int, seed uint64, maxSteps uint64) (CampaignResult, error) {
-	return UnSyncCampaignContext(context.Background(), prog, n, seed, maxSteps)
-}
-
-// UnSyncCampaignContext is UnSyncCampaign under a context: cancelling
-// ctx stops the campaign within one trial quantum and returns the
-// partial tally with the cancellation cause joined in.
-func UnSyncCampaignContext(ctx context.Context, prog *asm.Program, n int, seed uint64, maxSteps uint64) (CampaignResult, error) {
-	g, err := golden(prog, maxSteps)
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	arr := NewArrivals(SER{PerInst: 1}, seed)
-	opts := TrialOpts{MaxSteps: maxSteps, StepBudget: maxSteps, Golden: g, Ctx: ctx}
-	var res CampaignResult
-	var errs []error
-	for i := 0; i < n; i++ {
-		if cause := context.Cause(ctx); cause != nil {
-			return res, errors.Join(append(errs, cause)...)
-		}
-		step := uint64(arr.Pick(int(g.InstCount)))
-		o, err := RunUnSyncTrial(prog, step, randomFlip(arr), true, opts)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("fault: trial %d: %w", i, err))
-			continue
-		}
-		if o == OutcomeHang {
-			o = OutcomeUnrecoverable
-		}
-		res.Add(o)
-	}
-	return res, errors.Join(errs...)
-}
-
-// ReunionCampaign runs n deterministic Reunion injections; transient
-// selects in-flight (inside ROEC) vs persistent (outside ROEC) upsets.
-// Like UnSyncCampaign it accumulates per-trial errors instead of
-// aborting, returning the partial tally alongside the joined errors.
-func ReunionCampaign(prog *asm.Program, n int, transient bool, fi int, seed uint64, maxSteps uint64) (CampaignResult, error) {
-	return ReunionCampaignContext(context.Background(), prog, n, transient, fi, seed, maxSteps)
-}
-
-// ReunionCampaignContext is ReunionCampaign under a context (same
-// cancellation contract as UnSyncCampaignContext). The sites are drawn
-// up front in the order a trial-by-trial loop would draw them, then
-// classified reunionCampaignBatch at a time by ReunionTrialBatch.
-func ReunionCampaignContext(ctx context.Context, prog *asm.Program, n int, transient bool, fi int, seed uint64, maxSteps uint64) (CampaignResult, error) {
-	g, err := golden(prog, maxSteps)
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	arr := NewArrivals(SER{PerInst: 1}, seed)
-	trials := make([]BatchTrial, n)
-	for i := range trials {
-		step := uint64(arr.Pick(int(g.InstCount)))
-		trials[i] = BatchTrial{Step: step, Flip: randomFlip(arr), Transient: transient}
-	}
-	opts := TrialOpts{MaxSteps: maxSteps, StepBudget: maxSteps * 4, Golden: g, Ctx: ctx}
-	var res CampaignResult
-	var errs []error
-	for lo := 0; lo < n; lo += reunionCampaignBatch {
-		if cause := context.Cause(ctx); cause != nil {
-			return res, errors.Join(append(errs, cause)...)
-		}
-		out, _, err := ReunionTrialBatch(prog, trials[lo:min(lo+reunionCampaignBatch, n)], fi, opts)
-		for k, r := range out {
-			switch {
-			case r.Err != nil:
-				errs = append(errs, fmt.Errorf("fault: trial %d: %w", lo+k, r.Err))
-			case r.Done:
-				if r.Outcome == OutcomeHang {
-					r.Outcome = OutcomeUnrecoverable
-				}
-				res.Add(r.Outcome)
-			}
-		}
-		if err != nil {
-			return res, errors.Join(append(errs, err)...)
-		}
-	}
-	return res, errors.Join(errs...)
-}
-
-// reunionCampaignBatch is the lane width ReunionCampaignContext hands
-// to the lane engine, the campaign engine's default batch width.
-const reunionCampaignBatch = 32

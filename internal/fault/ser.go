@@ -1,7 +1,8 @@
 // Package fault models soft errors: the SER process that drives the
 // §VI-C sweep, the region-of-error-coverage (ROEC) accounting of §VI-D,
-// and functional (emulator-level) fault-injection campaigns that verify
-// the recovery mechanisms end to end.
+// and the functional (emulator-level) single-trial injection kernels
+// that verify the recovery mechanisms end to end; campaigns over them
+// run in internal/campaign.
 package fault
 
 import "math"

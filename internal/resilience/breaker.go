@@ -86,6 +86,10 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	return &Breaker{cfg: cfg}
 }
 
+// Cooldown returns how long the circuit stays Open before admitting
+// probes, with the default applied.
+func (b *Breaker) Cooldown() time.Duration { return b.cfg.Cooldown }
+
 // State reports the breaker's current position (after applying any due
 // Open→HalfOpen transition).
 func (b *Breaker) State() State {

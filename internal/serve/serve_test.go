@@ -307,27 +307,41 @@ func TestDeadlineClamping(t *testing.T) {
 func TestBreakerOpensAfterRunnerFailures(t *testing.T) {
 	boom := errors.New("runner broken")
 	runner := func(ctx context.Context, job *Job) (json.RawMessage, error) { return nil, boom }
-	_, ts := newTestServer(t, Config{
-		Runner:  runner,
-		Breaker: resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour},
-	})
-	_, j1 := submit(t, ts, campaignReq(1))
-	waitState(t, ts, j1.ID, StateFailed)
-	_, j2 := submit(t, ts, campaignReq(2))
-	waitState(t, ts, j2.ID, StateFailed)
+	cases := []struct {
+		name       string
+		breaker    resilience.BreakerConfig
+		retryAfter string
+	}{
+		{"explicit cooldown", resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour}, "3600"},
+		// unsync-serve sets no cooldown: clients must be told the 30 s
+		// default the breaker applies, not the zero config field.
+		{"default cooldown", resilience.BreakerConfig{FailureThreshold: 2}, "30"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestServer(t, Config{Runner: runner, Breaker: tc.breaker})
+			_, j1 := submit(t, ts, campaignReq(1))
+			waitState(t, ts, j1.ID, StateFailed)
+			_, j2 := submit(t, ts, campaignReq(2))
+			waitState(t, ts, j2.ID, StateFailed)
 
-	// Circuit open: submissions are rejected and readiness reports it.
-	resp, _ := submit(t, ts, campaignReq(3))
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("submit with open circuit = %d, want 503", resp.StatusCode)
-	}
-	ready, err := http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ready.Body.Close()
-	if ready.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("readyz with open circuit = %d, want 503", ready.StatusCode)
+			// Circuit open: submissions are rejected and readiness reports it.
+			resp, _ := submit(t, ts, campaignReq(3))
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("submit with open circuit = %d, want 503", resp.StatusCode)
+			}
+			if got := resp.Header.Get("Retry-After"); got != tc.retryAfter {
+				t.Errorf("Retry-After with open circuit = %q, want %q", got, tc.retryAfter)
+			}
+			ready, err := http.Get(ts.URL + "/readyz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ready.Body.Close()
+			if ready.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("readyz with open circuit = %d, want 503", ready.StatusCode)
+			}
+		})
 	}
 }
 
@@ -366,7 +380,8 @@ func TestHealthAndReadiness(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	stateDir := t.TempDir()
+	_, ts := newTestServer(t, Config{StateDir: stateDir})
 	cases := []JobRequest{
 		{Kind: "nonsense"},
 		{Kind: KindCampaign},
@@ -374,6 +389,9 @@ func TestSubmitValidation(t *testing.T) {
 		{Kind: KindCampaign, Campaign: &CampaignParams{Prog: "checksum", Spaces: []string{"warp-core"}}},
 		{Kind: KindCampaign, Campaign: &CampaignParams{Prog: "checksum", Scheme: "tmr"}},
 		{Kind: KindCampaign, Campaign: &CampaignParams{Prog: "checksum", Scheme: "reunion", FI: -5}},
+		// A negative trial count once reached the runner, which panicked;
+		// the journaled submit then crashed every restart.
+		{Kind: KindCampaign, Campaign: &CampaignParams{Prog: "checksum", Trials: -3}},
 		{Kind: KindFigure},
 		{Kind: KindFigure, Figure: &FigureParams{Name: "fig99"}},
 	}
@@ -388,6 +406,10 @@ func TestSubmitValidation(t *testing.T) {
 		Campaign: &CampaignParams{Source: "this is not assembly"}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad source: status = %d, want 400", resp.StatusCode)
+	}
+	// A rejected submit leaves nothing for a restart to replay.
+	if b, err := os.ReadFile(filepath.Join(stateDir, "jobs.jsonl")); err == nil && len(b) > 0 {
+		t.Errorf("rejected submits were journaled:\n%s", b)
 	}
 }
 

@@ -257,7 +257,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.breaker.State() == resilience.Open {
 		s.mu.Unlock()
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.Breaker.Cooldown))
+		w.Header().Set("Retry-After", retryAfterSeconds(s.breaker.Cooldown()))
 		httpError(w, http.StatusServiceUnavailable, "job runner circuit open")
 		return
 	}

@@ -208,10 +208,7 @@ func (req *ShardRequest) resolve() (*asm.Program, campaign.Spec, error) {
 	if req.Key == "" {
 		return nil, spec, errors.New("shard request missing the campaign params key")
 	}
-	trials := spec.Trials
-	if trials == 0 {
-		trials = 100 // withDefaults mirror, for the bounds check message
-	}
+	trials := spec.Normalized().Trials
 	if req.Lo < 0 || req.Hi > trials || req.Lo >= req.Hi {
 		return nil, spec, fmt.Errorf("shard range [%d, %d) outside trial space [0, %d)", req.Lo, req.Hi, trials)
 	}

@@ -253,11 +253,15 @@ func TestPublicExperimentWrappers(t *testing.T) {
 	} else if RenderReplicated(rows) == nil {
 		t.Fatal("nil render")
 	}
-	if _, err := ReunionFaultCampaign(mustProg(t), 3, true, 10, 5, 100_000); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := UnSyncFaultCampaign(mustProg(t), 3, 5, 100_000); err != nil {
-		t.Fatal(err)
+	for _, scheme := range []string{"reunion", "unsync"} {
+		res, err := RunCampaign(mustProg(t), CampaignConfig{Scheme: scheme, Trials: 3, Seed: 5, MaxSteps: 100_000,
+			Spaces: []Space{SpaceIntReg, SpaceFPReg, SpacePC}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Tally.Trials != 3 {
+			t.Fatalf("%s campaign tallied %d trials, want 3", scheme, res.Tally.Trials)
+		}
 	}
 	if o, err := ReunionFaultTrial(mustProg(t), 10, Flip{Bit: 3}, true, 10, 100_000); err != nil || o == OutcomeSDC {
 		t.Fatalf("trial: %v %v", o, err)
