@@ -333,7 +333,10 @@ func describeForeign(foreign map[string]int) string {
 
 // roundSize is the early-stopping granularity. It is a fixed constant —
 // not derived from Workers — so the stopping point, and therefore the
-// Result, is identical for any worker count.
+// Result, is identical for any worker count. Only a campaign that can
+// stop early (CIWidth > 0) runs in rounds: any other runs every pending
+// trial through one worker pool, so no round barrier idles a worker
+// and the pool is not capped at one round's chunks.
 const roundSize = 64
 
 // Run executes the campaign. The error joins every per-trial failure
@@ -367,7 +370,8 @@ func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, erro
 		return res, err
 	}
 
-	g, err := fault.Golden(prog, spec.MaxSteps)
+	// The golden run is recorded once; every batch reads its trace.
+	tr, err := fault.RecordTrace(prog, spec.MaxSteps)
 	if err != nil {
 		return res, err
 	}
@@ -401,11 +405,15 @@ func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, erro
 		defer func() { _ = jn.Close() }()
 	}
 
+	round := spec.Trials
+	if spec.CIWidth > 0 {
+		round = roundSize
+	}
 	recs := make([]*TrialRecord, spec.Trials)
 	newly := 0 // trials executed (not resumed) by this invocation
 	interrupted := false
-	for lo := 0; lo < spec.Trials && !interrupted; lo += roundSize {
-		hi := lo + roundSize
+	for lo := 0; lo < spec.Trials && !interrupted; lo += round {
+		hi := lo + round
 		if hi > spec.Trials {
 			hi = spec.Trials
 		}
@@ -437,7 +445,7 @@ func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, erro
 		// batch panics.
 		chunks := chunkIndices(todo, spec.Batch)
 		out, mapErr := sweep.MapContext(ctx, chunks, spec.Workers, func(ctx context.Context, chunk []int) ([]TrialRecord, error) {
-			crecs, err := runTrialChunk(ctx, prog, g, spec, key, res.Prog, chunk)
+			crecs, err := runTrialChunk(ctx, prog, tr, spec, key, res.Prog, chunk)
 			if jerr := journalChunk(jn, crecs, spec.Observer); jerr != nil {
 				return crecs, jerr
 			}
@@ -702,7 +710,8 @@ func chunkIndices(idxs []int, width int) [][]int {
 // The returned slice parallels chunk; a zero record (empty Key) means
 // the trial was interrupted before classification and must not be
 // journaled or tallied.
-func runTrialChunk(ctx context.Context, prog *asm.Program, g *emu.Machine, spec Spec, key, hash string, chunk []int) ([]TrialRecord, error) {
+func runTrialChunk(ctx context.Context, prog *asm.Program, tr *fault.Trace, spec Spec, key, hash string, chunk []int) ([]TrialRecord, error) {
+	g := tr.Golden
 	recs := make([]TrialRecord, len(chunk))
 	if len(chunk) == 1 || spec.Batch <= 1 || spec.TrialTimeout > 0 {
 		for j, i := range chunk {
@@ -739,7 +748,7 @@ func runTrialChunk(ctx context.Context, prog *asm.Program, g *emu.Machine, spec 
 		return recs, nil
 	}
 
-	opts := fault.TrialOpts{MaxSteps: spec.MaxSteps, StepBudget: spec.StepBudget, Golden: g, Ctx: ctx}
+	opts := fault.TrialOpts{MaxSteps: spec.MaxSteps, StepBudget: spec.StepBudget, Golden: g, Trace: tr, Ctx: ctx}
 	var out []fault.BatchResult
 	var bs fault.BatchStats
 	var kerr error

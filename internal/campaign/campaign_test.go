@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -421,17 +422,15 @@ func TestRunContextCancelResumesBitIdentical(t *testing.T) {
 	interrupted.Checkpoint = ck
 	cause := errors.New("operator shutdown")
 	ctx, cancel := context.WithCancelCause(context.Background())
-	go func() {
-		// Cancel once the journal proves the campaign is mid-run: some
-		// trials durable, far more still to go.
-		for i := 0; i < 4000; i++ {
-			if b, err := os.ReadFile(ck); err == nil && bytes.Count(b, []byte{'\n'}) >= 25 {
-				break
-			}
-			time.Sleep(500 * time.Microsecond) //unsync:allow-sleep test poll
+	// Cancel once the campaign is mid-run: 100 trials classified, far
+	// more still to go. The chunk holding the 100th record is still
+	// journaled, so some trials are durable.
+	var seen atomic.Int32
+	interrupted.Observer = func(TrialRecord) {
+		if seen.Add(1) == 100 {
+			cancel(cause)
 		}
-		cancel(cause)
-	}()
+	}
 	partial, err := RunContext(ctx, prog, interrupted)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("cancelled run err = %v, want ErrInterrupted", err)

@@ -8,7 +8,9 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/cmlasu/unsync/internal/asm"
 	"github.com/cmlasu/unsync/internal/emu"
@@ -216,5 +218,38 @@ func TestAttemptChainSurvivesJournal(t *testing.T) {
 		if len(r.AttemptErrs) != 2 { // default Retries=1 → 2 attempts
 			t.Fatalf("journaled trial %d chain: %v, want 2 attempts", i, r.AttemptErrs)
 		}
+	}
+}
+
+// TestCampaignUsesEveryWorker pins that a campaign without early
+// stopping runs its chunks on the whole worker pool. At the default
+// lane width a 64-trial round is two chunks, so a campaign cut into
+// rounds never has more than two chunks in flight. The observer holds
+// each call until three calls are in flight at once, or until a shared
+// deadline passes; the campaign must reach three.
+func TestCampaignUsesEveryWorker(t *testing.T) {
+	prog := mustProg(t, testProgram)
+	var inFlight, peak atomic.Int32
+	deadline := time.Now().Add(10 * time.Second)
+	spec := Spec{Scheme: SchemeUnSync, Trials: 256, Seed: 3, MaxSteps: 20_000, Workers: 4,
+		Observer: func(TrialRecord) {
+			n := inFlight.Add(1)
+			defer inFlight.Add(-1)
+			for {
+				if p := peak.Load(); n > p && !peak.CompareAndSwap(p, n) {
+					continue
+				}
+				if peak.Load() >= 3 || time.Now().After(deadline) {
+					return
+				}
+				time.Sleep(time.Millisecond)
+				n = inFlight.Load()
+			}
+		}}
+	if _, err := Run(prog, spec); err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p < 3 {
+		t.Fatalf("at most %d observer calls in flight with 4 workers, want 3", p)
 	}
 }

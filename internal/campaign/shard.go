@@ -40,7 +40,7 @@ func RunShard(ctx context.Context, prog *asm.Program, spec Spec, lo, hi int, ski
 		return fmt.Errorf("campaign: shard range [%d, %d) outside trial space [0, %d)", lo, hi, spec.Trials)
 	}
 
-	g, err := fault.Golden(prog, spec.MaxSteps)
+	tr, err := fault.RecordTrace(prog, spec.MaxSteps)
 	if err != nil {
 		return err
 	}
@@ -60,7 +60,7 @@ func RunShard(ctx context.Context, prog *asm.Program, spec Spec, lo, hi int, ski
 	var emitMu sync.Mutex
 	chunks := chunkIndices(todo, spec.Batch)
 	_, mapErr := sweep.MapContext(ctx, chunks, spec.Workers, func(ctx context.Context, chunk []int) (struct{}, error) {
-		crecs, err := runTrialChunk(ctx, prog, g, spec, key, hash, chunk)
+		crecs, err := runTrialChunk(ctx, prog, tr, spec, key, hash, chunk)
 		emitMu.Lock()
 		defer emitMu.Unlock()
 		for j := range crecs {

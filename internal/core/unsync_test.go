@@ -283,23 +283,39 @@ func TestMemConfigForcesWriteThroughParity(t *testing.T) {
 	}
 }
 
+// skewedPair returns a pair of the named workload with core B ahead
+// of core A. The pair first runs until A has committed 2,000
+// instructions: from a cold start, DRAM misses stall both cores for
+// longer than any freeze window, so no skew could form. Then A alone is
+// frozen for 400 cycles while the pair runs 300.
+func skewedPair(t *testing.T, workload string) *Pair {
+	t.Helper()
+	prof, ok := trace.ByName(workload)
+	if !ok {
+		t.Fatalf("no workload %q", workload)
+	}
+	p := NewPair(pipeline.DefaultConfig(), mem.DefaultConfig(), DefaultConfig(),
+		trace.NewLimit(trace.NewGenerator(prof), 30_000),
+		trace.NewLimit(trace.NewGenerator(prof), 30_000))
+	for p.A.Position() < 2000 {
+		p.Step()
+	}
+	p.A.FreezeUntil(p.Cycle() + 400)
+	for i := 0; i < 300; i++ {
+		p.Step()
+	}
+	if p.B.Position() <= p.A.Position() {
+		t.Fatalf("cores did not skew: A at %d, B at %d", p.A.Position(), p.B.Position())
+	}
+	return p
+}
+
 // TestRecoveryRealignsSkewedCores reproduces the livelock fixed in
 // recovery: core B runs several stores ahead of core A when the error
 // strikes on B; recovery must resume B from A's position so the CB
 // pairing stays aligned and the run completes.
 func TestRecoveryRealignsSkewedCores(t *testing.T) {
-	prof, _ := trace.ByName("bzip2")
-	p := NewPair(pipeline.DefaultConfig(), mem.DefaultConfig(), DefaultConfig(),
-		trace.NewLimit(trace.NewGenerator(prof), 30_000),
-		trace.NewLimit(trace.NewGenerator(prof), 30_000))
-	// Skew the cores: freeze A alone for a while so B runs ahead.
-	p.A.FreezeUntil(400)
-	for i := 0; i < 600; i++ {
-		p.Step()
-	}
-	if p.B.Position() <= p.A.Position() {
-		t.Skip("cores did not skew; adjust the freeze window")
-	}
+	p := skewedPair(t, "bzip2")
 	p.ScheduleRecovery(p.Cycle()+1, 1) // error on the ahead core
 	if err := p.Run(100_000_000); err != nil {
 		t.Fatalf("run after skewed recovery: %v", err)
@@ -315,18 +331,8 @@ func TestRecoveryRealignsSkewedCores(t *testing.T) {
 // The re-trace direction: error on the BEHIND core forwards it to the
 // ahead core's position (always forward execution, §III-B2).
 func TestRecoveryForwardsLaggingCore(t *testing.T) {
-	prof, _ := trace.ByName("gzip")
-	p := NewPair(pipeline.DefaultConfig(), mem.DefaultConfig(), DefaultConfig(),
-		trace.NewLimit(trace.NewGenerator(prof), 30_000),
-		trace.NewLimit(trace.NewGenerator(prof), 30_000))
-	p.A.FreezeUntil(400)
-	for i := 0; i < 600; i++ {
-		p.Step()
-	}
+	p := skewedPair(t, "gzip")
 	ahead := p.B.Position()
-	if ahead <= p.A.Position() {
-		t.Skip("cores did not skew")
-	}
 	p.ScheduleRecovery(p.Cycle()+1, 0) // error on the lagging core
 	for i := 0; i < 5; i++ {
 		p.Step()

@@ -52,16 +52,25 @@ func (s *lineSlab) alloc() *line {
 // Overlay is a per-lane copy-on-write view over a shared base memory.
 // The base is the program's immutable initial image (one per decoded
 // program). The lane's writes land in 64-byte lines listed in a small
-// table sorted by line tag; anything not in the table reads through to
-// the base, so B trial lanes share one data image instead of holding B
-// clones. Lanes.Fork copies the table and marks every entry shared in
-// both lanes; whichever lane writes a shared line first copies its 64
+// table by line tag; anything not in the table reads through to the
+// base, so B trial lanes share one data image instead of holding B
+// clones. The table is two sorted runs: a prefix, and a tail that new
+// lines are inserted into and that merges into the prefix once it
+// outgrows both tailMin and the square root of the prefix. A lane that
+// walks through memory (a runaway stack pointer, say) so pays about
+// √n moves per new line rather than the n of one sorted table.
+// Lanes.Fork copies the table and marks every entry shared in both
+// lanes; whichever lane writes a shared line first copies its 64
 // bytes. Lines come from the owning Lanes' slab. An Overlay must not
 // be copied: fork it with Lanes.Fork.
 type Overlay struct {
 	base  *Memory
 	slab  *lineSlab
 	lines []lineRef
+	// sorted is the length of the table's prefix run; spill holds the
+	// tail while merge runs.
+	sorted int
+	spill  []lineRef
 
 	// undo journals every Write while journal is on (from Mark to
 	// Release), so Rewind can return to any mark.
@@ -77,19 +86,49 @@ type storeUndo struct {
 	width uint8
 }
 
-// find returns the table index of the line with tag, or the index at
-// which it would be inserted and false.
+// tailMin is the tail length below which an overlay never merges.
+const tailMin = 16
+
+// find returns the table index of the line with tag, or the index in
+// the tail at which it would be inserted and false.
 func (o *Overlay) find(tag uint64) (int, bool) {
-	lo, hi := 0, len(o.lines)
+	if k, ok := searchLines(o.lines[:o.sorted], tag); ok {
+		return k, true
+	}
+	k, ok := searchLines(o.lines[o.sorted:], tag)
+	return o.sorted + k, ok
+}
+
+// searchLines binary-searches a sorted run of the table for tag.
+func searchLines(lines []lineRef, tag uint64) (int, bool) {
+	lo, hi := 0, len(lines)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if o.lines[m].tag < tag {
+		if lines[m].tag < tag {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	return lo, lo < len(o.lines) && o.lines[lo].tag == tag
+	return lo, lo < len(lines) && lines[lo].tag == tag
+}
+
+// merge merges the tail into the sorted prefix, from the back so no
+// entry moves twice.
+func (o *Overlay) merge() {
+	o.spill = append(o.spill[:0], o.lines[o.sorted:]...)
+	t := o.spill
+	i, j := o.sorted-1, len(t)-1
+	for k := len(o.lines) - 1; j >= 0; k-- {
+		if i >= 0 && o.lines[i].tag > t[j].tag {
+			o.lines[k] = o.lines[i]
+			i--
+		} else {
+			o.lines[k] = t[j]
+			j--
+		}
+	}
+	o.sorted = len(o.lines)
 }
 
 // Read returns width bytes at addr as a little-endian unsigned
@@ -159,6 +198,9 @@ func (o *Overlay) private(tag uint64) *line {
 	o.lines = append(o.lines, lineRef{})
 	copy(o.lines[k+1:], o.lines[k:])
 	o.lines[k] = lineRef{tag: tag, ln: ln}
+	if t := len(o.lines) - o.sorted; t >= tailMin && t*t > o.sorted {
+		o.merge()
+	}
 	return ln
 }
 
@@ -229,6 +271,7 @@ func (o *Overlay) forkFrom(src *Overlay) {
 		src.lines[k].shared = true
 	}
 	o.lines = append(o.lines[:0], src.lines...)
+	o.sorted = src.sorted
 	o.undo = o.undo[:0]
 	o.journal = false
 }

@@ -244,3 +244,36 @@ func FuzzOverlayMatchesMemory(f *testing.F) {
 		}
 	})
 }
+
+// TestOverlayManyLines walks a lane through every line of the overlay
+// window, downward like a runaway stack and then upward, so the line
+// table outgrows its unsorted tail many times over; a lane forked
+// midway must keep its own contents. Both lanes must read exactly as
+// reference Memories do.
+func TestOverlayManyLines(t *testing.T) {
+	dec := emu.Decode(overlayProg)
+	L := emu.NewLanes(dec, 2)
+	refs := [2]*emu.Memory{dec.Image().Clone(), nil}
+	write := func(lane int, a, v uint64) {
+		L.Mem[lane].Write(a, v, 8)
+		refs[lane].Write(a, v, 8)
+	}
+	mid := overlayLo + (overlayHi-overlayLo)/2
+	for a := overlayHi - testLine; a >= mid; a -= testLine {
+		write(0, a+8, a)
+	}
+	L.Fork(1, 0)
+	refs[1] = refs[0].Clone()
+	for a := mid - testLine; a >= overlayLo; a -= testLine {
+		write(0, a+8, ^a)
+	}
+	for a := overlayLo; a < overlayHi; a += testLine {
+		write(1, a+16, a*3)
+	}
+	for lane := range refs {
+		sameAsMemory(t, "lane", &L.Mem[lane], refs[lane])
+	}
+	if want := int((overlayHi - overlayLo) / testLine); L.Mem[0].Dirty() != want || L.Mem[1].Dirty() != want {
+		t.Fatalf("Dirty = %d, %d lines, want %d each", L.Mem[0].Dirty(), L.Mem[1].Dirty(), want)
+	}
+}

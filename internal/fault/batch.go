@@ -6,7 +6,6 @@ import (
 
 	"github.com/cmlasu/unsync/internal/asm"
 	"github.com/cmlasu/unsync/internal/emu"
-	"github.com/cmlasu/unsync/internal/isa"
 )
 
 // This file implements the batched trial kernels: B injection trials of
@@ -16,7 +15,7 @@ import (
 // would, and the differential tests in batch_test.go pin that
 // equivalence trial by trial.
 //
-// The UnSync kernel exploits two structural facts of RunUnSyncTrial:
+// The UnSync kernel exploits three structural facts of RunUnSyncTrial:
 //
 //  1. Core B is never faulted, so B always replays the golden
 //     trajectory. A detected flip striking before program completion is
@@ -34,6 +33,13 @@ import (
 //     the whole batch; a lane whose PC departs the cursor's retires to
 //     a scalar finishing loop with the exact watchdog contract of the
 //     scalar kernel.
+//  3. An undetected CB flip lands in memory on the first store at or
+//     after the strike, and until a load or atomic reads the flipped
+//     byte the lane is the golden run plus that byte. The campaign's
+//     golden Trace names that first read, so the lane forks from the
+//     cursor just before it, the byte already flipped; a flip that
+//     never lands, is overwritten by a store first, or is never read
+//     classifies benign without emulation.
 
 // BatchTrial describes one lane of a batched trial kernel, mirroring
 // the per-trial arguments of RunUnSyncTrial / RunReunionTrial.
@@ -82,26 +88,35 @@ func (s *BatchStats) add(o BatchStats) {
 
 // UnSyncTrialBatch classifies a batch of UnSync injection trials
 // against one shared golden run, with outcomes identical to calling
-// RunUnSyncTrial once per trial. TrialOpts carries the same budgets,
-// shared golden machine and context as the scalar kernel; the context
-// is polled at the same trialCtxQuantum, so cancellation latency is
-// unchanged. On a batch-level error (golden failure or cancellation)
-// the partial results are returned: lanes already classified stay
-// Done.
+// RunUnSyncTrial once per trial. TrialOpts carries the same budgets and
+// context as the scalar kernel, and the golden Trace (recorded here
+// when the caller supplies none); the context is polled at the same
+// trialCtxQuantum, so cancellation latency is unchanged. On a
+// batch-level error (golden failure or cancellation) the partial
+// results are returned: lanes already classified stay Done.
 func UnSyncTrialBatch(prog *asm.Program, trials []BatchTrial, opts TrialOpts) ([]BatchResult, BatchStats, error) {
 	res := make([]BatchResult, len(trials))
 	stats := BatchStats{Lanes: uint64(len(trials))}
 	opts = opts.withDefaults()
-	g, err := opts.golden(prog)
+	tr, err := opts.trace(prog)
 	if err != nil {
 		return res, stats, err
 	}
+	g := tr.Golden
 
 	// Static classification: detected strikes recover, post-completion
-	// strikes are benign (see the file comment), and invalid sites are
-	// handed back for the scalar path to reject. Only undetected
-	// pre-completion flips need emulation.
-	work := make([]int, 0, len(trials))
+	// strikes are benign (see the file comment), CB flips that are never
+	// read are benign (see Trace), and invalid sites are handed back for
+	// the scalar path to reject. Every other lane forks at its fork
+	// step: the strike, or for a CB flip the first read of the flipped
+	// byte, where cbAddr and cbMask land it.
+	type lane struct {
+		trial  int
+		fork   uint64
+		cbAddr uint64
+		cbMask byte
+	}
+	work := make([]lane, 0, len(trials))
 	for i, t := range trials {
 		if err := t.Flip.Validate(); err != nil {
 			res[i] = BatchResult{Err: err}
@@ -114,48 +129,51 @@ func UnSyncTrialBatch(prog *asm.Program, trials []BatchTrial, opts TrialOpts) ([
 		case t.Detected:
 			res[i] = BatchResult{Outcome: OutcomeRecovered, Done: true}
 			stats.Shortcut++
+		case t.Flip.Space == SpaceCB:
+			fork, addr, mask, read := tr.cbFork(t.Step, t.Flip.Bit, opts.StepBudget)
+			if !read {
+				res[i] = BatchResult{Outcome: OutcomeBenign, Done: true}
+				stats.Shortcut++
+				continue
+			}
+			work = append(work, lane{trial: i, fork: fork, cbAddr: addr, cbMask: mask})
 		default:
-			work = append(work, i)
+			work = append(work, lane{trial: i, fork: t.Step})
 		}
 	}
 	if len(work) == 0 {
 		return res, stats, nil
 	}
-	// Lanes fork from the cursor in strike order; the stable sort keeps
-	// equal strike steps in trial order for determinism.
-	sort.SliceStable(work, func(a, b int) bool {
-		return trials[work[a]].Step < trials[work[b]].Step
-	})
+	// Lanes fork from the cursor in fork-step order; the stable sort
+	// keeps equal fork steps in trial order for determinism.
+	sort.SliceStable(work, func(a, b int) bool { return work[a].fork < work[b].fork })
 
 	dec := emu.Decode(prog)
 	nw := len(work)
-	// Lane slot j executes trial work[j]; the extra lane is the cursor,
-	// which replays the golden run and feeds the shared fetch.
+	// Lane slot j executes work[j]; the extra lane is the cursor, which
+	// replays the golden run and feeds the shared fetch.
 	L := emu.NewLanes(dec, nw+1)
 	cur := nw
 	chk := interruptChecker{ctx: opts.Ctx}
 
-	// cbLimit[j], when non-zero, is the armed CB corruption's deadline:
-	// the highest instruction count at which the lane's next committed
-	// store may still take the flip (the scalar kernel bounds its store
-	// search by StepBudget steps).
-	cbLimit := make([]uint64, nw)
 	live := make([]int, 0, nw)
 	retired := make([]int, 0, nw)
 	next := 0
 
-	for step := uint64(0); step < g.InstCount; step++ {
+	// The cursor stops once every lane has forked and none is live.
+	for step := uint64(0); step < g.InstCount && (next < nw || len(live) > 0); step++ {
 		if err := chk.check(); err != nil {
 			return res, stats, err
 		}
-		// Fork every lane whose strike is this step: copy the cursor's
-		// architectural state and land the flip. Register and PC flips
-		// are branch-free column XORs; CB flips arm a pending
-		// corruption of the lane's next committed store.
-		for next < nw && trials[work[next]].Step == step {
+		// Fork every lane whose fork step is this one: copy the
+		// cursor's architectural state and land the flip. Register and
+		// PC flips are branch-free column XORs; a CB flip lands on the
+		// byte its next instruction reads.
+		for next < nw && work[next].fork == step {
 			slot := next
 			L.Fork(slot, cur)
-			f := trials[work[next]].Flip
+			w := work[next]
+			f := trials[w.trial].Flip
 			switch f.Space {
 			case SpaceIntReg:
 				L.XorReg(slot, f.Index, 1<<f.Bit)
@@ -167,7 +185,8 @@ func UnSyncTrialBatch(prog *asm.Program, trials []BatchTrial, opts TrialOpts) ([
 				m := &L.Mem[slot]
 				m.Write(f.Addr, m.Read(f.Addr, 8)^1<<f.Bit, 8)
 			case SpaceCB:
-				cbLimit[slot] = step + opts.StepBudget
+				m := &L.Mem[slot]
+				m.Write(w.cbAddr, m.Read(w.cbAddr, 1)^uint64(w.cbMask), 1)
 			}
 			live = append(live, slot)
 			next++
@@ -175,7 +194,6 @@ func UnSyncTrialBatch(prog *asm.Program, trials []BatchTrial, opts TrialOpts) ([
 
 		pc := L.PC[cur]
 		idx := int(pc / 4)
-		cls := dec.Class[idx]
 
 		// Step live lanes over the shared fetch. A lane whose PC left
 		// the golden trace retires to the scalar finishing path; a lane
@@ -186,30 +204,14 @@ func UnSyncTrialBatch(prog *asm.Program, trials []BatchTrial, opts TrialOpts) ([
 				retired = append(retired, slot)
 				continue
 			}
-			c, err := L.StepShared(slot, idx)
-			if err != nil {
+			if _, err := L.StepShared(slot, idx); err != nil {
 				// Unreachable on-trace (the cursor fetched this very
 				// instruction), but mirror the scalar contract.
-				res[work[slot]] = BatchResult{Outcome: OutcomeUnrecoverable, Done: true}
+				res[work[slot].trial] = BatchResult{Outcome: OutcomeUnrecoverable, Done: true}
 				continue
 			}
-			if cbLimit[slot] != 0 && cls == isa.ClassStore {
-				// The armed CB flip lands on the first committed store
-				// within the scalar kernel's search budget. Until it
-				// lands the lane's state is bit-identical to the
-				// cursor's, so an armed lane can never diverge or halt
-				// out of sync — it is always classified here or after
-				// the flip fires.
-				if L.InstCount[slot] <= cbLimit[slot] {
-					w := int(c.Inst.Op.MemWidth())
-					bit := uint64(trials[work[slot]].Flip.Bit) % uint64(8*w)
-					m := &L.Mem[slot]
-					m.Write(c.Addr, m.Read(c.Addr, w)^1<<bit, w)
-				}
-				cbLimit[slot] = 0
-			}
 			if L.Halted[slot] {
-				res[work[slot]] = BatchResult{Outcome: classifyOutput(L.Output[slot], g.Output), Done: true}
+				res[work[slot].trial] = BatchResult{Outcome: classifyOutput(L.Output[slot], g.Output), Done: true}
 				continue
 			}
 			live[k] = slot
@@ -235,7 +237,7 @@ func UnSyncTrialBatch(prog *asm.Program, trials []BatchTrial, opts TrialOpts) ([
 		if err != nil {
 			return res, stats, err
 		}
-		res[work[slot]] = BatchResult{Outcome: o, Done: true}
+		res[work[slot].trial] = BatchResult{Outcome: o, Done: true}
 	}
 	return res, stats, nil
 }

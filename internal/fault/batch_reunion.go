@@ -20,11 +20,18 @@ import (
 //     a clean checkpoint (injected == false) — for persistent strikes,
 //     and for transients, which land on the first register-writing (or
 //     store) instruction at or after step. A lane forks from the golden
-//     cursor there, with empty fingerprints and no rollbacks.
+//     cursor there, with empty fingerprints and no rollbacks. A
+//     persistent register flip changes no commit until an instruction
+//     reads the register, so the fingerprints keep matching up to that
+//     read: when the golden Trace puts the first read in a later window
+//     than the strike, the pair is at that window's boundary in golden
+//     state plus the flip, with a checkpoint taken after the strike
+//     (injected == true), and the lane forks there. A flip overwritten
+//     before it is read, or never read, leaves the run golden.
 //  2. Golden core B. Core B is never faulted and rollback only rewinds
 //     it to a checkpoint of its own run, so after `steps` committed
 //     positions B is the golden run at `steps`: its commits come from
-//     the golden commit log (zero commits once it has halted, which
+//     the golden Trace (zero commits once it has halted, which
 //     still fold into the CRC), it is halted iff steps ≥ the golden
 //     instruction count, and its output is the golden output. B is
 //     never emulated.
@@ -49,18 +56,15 @@ import (
 // lane about to take such a checkpoint is handed back to
 // RunReunionTrial from scratch.
 
-// goldenCommit is the part of a golden commit that Reunion's
-// fingerprint folds.
-type goldenCommit struct{ pc, data uint64 }
-
 // ReunionTrialBatch classifies a batch of Reunion injection trials
 // against one shared golden run, with outcomes identical to calling
 // RunReunionTrial once per trial. Strikes at or past program
-// completion classify statically (Shortcut): the injection condition
-// can never fire, so the pair runs golden — benign, or a hang when the
-// golden run outlasts the watchdog budget. Every other lane forks from
-// the golden cursor and runs the engine described above (counted as
-// Lockstep), unless it is handed back to the scalar kernel (Retired).
+// completion, and persistent register flips that are never read,
+// classify statically (Shortcut): the pair runs golden — benign, or a
+// hang when the golden run outlasts the watchdog budget. Every other
+// lane forks from the golden cursor and runs the engine described
+// above (counted as Lockstep), unless it is handed back to the scalar
+// kernel (Retired).
 // Errors and cancellation follow UnSyncTrialBatch.
 func ReunionTrialBatch(prog *asm.Program, trials []BatchTrial, fi int, opts TrialOpts) ([]BatchResult, BatchStats, error) {
 	res := make([]BatchResult, len(trials))
@@ -69,13 +73,23 @@ func ReunionTrialBatch(prog *asm.Program, trials []BatchTrial, fi int, opts Tria
 		fi = 10
 	}
 	opts = opts.withDefaults()
-	g, err := opts.golden(prog)
+	tr, err := opts.trace(prog)
 	if err != nil {
 		return res, stats, err
 	}
+	g := tr.Golden
 	opts.Golden = g
+	n := g.InstCount
 
-	work := make([]int, 0, len(trials))
+	// Each lane forks at a window boundary (fact 1), or — for a
+	// persistent register flip whose first read lies in a later window —
+	// at the last boundary before that read, already injected.
+	type lane struct {
+		trial    int
+		fork     uint64
+		injected bool
+	}
+	work := make([]lane, 0, len(trials))
 	for i, t := range trials {
 		// Mirror the scalar kernel's validation order: transient
 		// non-CB strikes ignore the site fields and skip validation.
@@ -85,46 +99,45 @@ func ReunionTrialBatch(prog *asm.Program, trials []BatchTrial, fi int, opts Tria
 				continue
 			}
 		}
-		if t.Step >= g.InstCount {
-			res[i] = BatchResult{Outcome: goldenRemainder(OutcomeBenign, g.InstCount, opts.StepBudget), Done: true}
+		if t.Step >= n {
+			res[i] = BatchResult{Outcome: goldenRemainder(OutcomeBenign, n, opts.StepBudget), Done: true}
 			stats.Shortcut++
 			continue
 		}
-		work = append(work, i)
+		l := lane{trial: i, fork: t.Step / uint64(fi) * uint64(fi)}
+		if r, ok := persistentReg(t); ok {
+			// The flip lands once step t.Step has committed.
+			read, ok := tr.firstRead(r, t.Step+1)
+			if !ok {
+				// Never read: the pair runs golden to the end.
+				res[i] = BatchResult{Outcome: goldenRemainder(OutcomeBenign, n, opts.StepBudget), Done: true}
+				stats.Shortcut++
+				continue
+			}
+			if b := read / uint64(fi) * uint64(fi); b > t.Step {
+				l = lane{trial: i, fork: b, injected: true}
+			}
+		}
+		work = append(work, l)
 	}
 	if len(work) == 0 {
 		return res, stats, nil
 	}
-	sort.SliceStable(work, func(a, b int) bool {
-		return trials[work[a]].Step < trials[work[b]].Step
-	})
-
-	// The golden commit log core B replays, recorded by one pass of a
-	// scalar machine.
-	dec := emu.Decode(prog)
-	gm := dec.NewMachine()
-	log := make([]goldenCommit, g.InstCount)
-	for s := range log {
-		c, err := gm.Step()
-		if err != nil {
-			return res, stats, fmt.Errorf("fault: golden replay diverged: %w", err)
-		}
-		log[s] = goldenCommit{c.PC, c.Data}
-	}
+	sort.SliceStable(work, func(a, b int) bool { return work[a].fork < work[b].fork })
 
 	// A golden cursor sweeps the program once. At each lane's boundary,
-	// in strike order, the lane runs on the cursor's own slot, which is
+	// in fork order, the lane runs on the cursor's own slot, which is
 	// then rewound to the cursor: no lane copies the prefix's memory.
 	e := reunionEngine{
-		L: emu.NewLanes(dec, 1), log: log, golden: g,
+		L: emu.NewLanes(emu.Decode(prog), 1), log: tr.commits, golden: g,
 		fi: uint64(fi), budget: opts.StepBudget, chk: &interruptChecker{ctx: opts.Ctx},
 	}
 	next := 0
 	for step := uint64(0); ; step++ {
-		for ; next < len(work) && trials[work[next]].Step/e.fi*e.fi == step; next++ {
-			i := work[next]
-			t := trials[i]
-			o, ok, err := e.run(step, t)
+		for ; next < len(work) && work[next].fork == step; next++ {
+			w := work[next]
+			t := trials[w.trial]
+			o, ok, err := e.run(step, t, w.injected)
 			if err != nil {
 				return res, stats, err
 			}
@@ -136,7 +149,7 @@ func ReunionTrialBatch(prog *asm.Program, trials []BatchTrial, fi int, opts Tria
 				}
 				stats.Retired++
 			}
-			res[i] = BatchResult{Outcome: o, Done: true}
+			res[w.trial] = BatchResult{Outcome: o, Done: true}
 		}
 		if next == len(work) {
 			return res, stats, nil
@@ -148,6 +161,21 @@ func ReunionTrialBatch(prog *asm.Program, trials []BatchTrial, fi int, opts Tria
 			return res, stats, fmt.Errorf("fault: batch cursor diverged from golden run: %w", err)
 		}
 	}
+}
+
+// persistentReg returns the flat register (isa.DepReg numbering) a
+// persistent register flip strikes.
+func persistentReg(t BatchTrial) (int, bool) {
+	if t.Transient {
+		return 0, false
+	}
+	switch t.Flip.Space {
+	case SpaceIntReg:
+		return isa.DepReg(isa.RegInt, t.Flip.Index), true
+	case SpaceFPReg:
+		return isa.DepReg(isa.RegFP, t.Flip.Index), true
+	}
+	return 0, false
 }
 
 // reunionEngine is the lane engine's per-batch state: the cursor slot
@@ -190,12 +218,18 @@ func (e *reunionEngine) restore(cp reunionCheckpoint) {
 }
 
 // run executes trial t on the cursor's slot, forked at boundary (the
-// cursor's position), and rewinds the slot to the cursor afterwards.
-// ok is false when the lane must be handed back to the scalar kernel.
-func (e *reunionEngine) run(boundary uint64, t BatchTrial) (o Outcome, ok bool, err error) {
+// cursor's position) — with t's persistent flip already landed when
+// injected — and rewinds the slot to the cursor afterwards. ok is
+// false when the lane must be handed back to the scalar kernel.
+func (e *reunionEngine) run(boundary uint64, t BatchTrial, injected bool) (o Outcome, ok bool, err error) {
 	fork := e.checkpoint(boundary, false)
 	inst := e.L.InstCount[0]
-	o, ok, err = e.trial(t, fork)
+	cp := fork
+	if injected {
+		applyLane(e.L, t.Flip)
+		cp = e.checkpoint(boundary, true)
+	}
+	o, ok, err = e.trial(t, cp)
 	e.restore(fork)
 	e.L.InstCount[0] = inst
 	e.L.Mem[0].Release()
@@ -203,7 +237,7 @@ func (e *reunionEngine) run(boundary uint64, t BatchTrial) (o Outcome, ok bool, 
 }
 
 // trial mirrors RunReunionTrial's loop statement for statement from
-// the clean checkpoint cp, with core A on the slot and core B read
+// the verified checkpoint cp, with core A on the slot and core B read
 // from the golden log.
 func (e *reunionEngine) trial(t BatchTrial, cp reunionCheckpoint) (Outcome, bool, error) {
 	L := e.L
@@ -213,7 +247,7 @@ func (e *reunionEngine) trial(t BatchTrial, cp reunionCheckpoint) (Outcome, bool
 	var crcA, crcB uint16
 	var windowCount uint64
 	var rollbacks int
-	injected := false
+	injected := cp.injected
 	for (!L.Halted[0] || steps < n) && steps < e.budget {
 		if err := e.chk.check(); err != nil {
 			return OutcomeBenign, true, err

@@ -9,6 +9,7 @@ import (
 	"github.com/cmlasu/unsync/internal/fault"
 	"github.com/cmlasu/unsync/internal/isa"
 	"github.com/cmlasu/unsync/internal/proggen"
+	"github.com/cmlasu/unsync/internal/progs"
 )
 
 // batchRNG is a private splitmix64 stream for site derivation.
@@ -83,6 +84,97 @@ func TestUnSyncTrialBatchMatchesScalar(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzUnSyncBatchMatchesScalar requires the UnSync batch kernel to
+// classify every trial exactly as RunUnSyncTrial does, on every library
+// program and on random programs, with undetected CB flips dominating
+// the sites (the lanes the golden trace forks at the first read of the
+// flipped byte or classifies without emulation). Step budgets of 1 to 8
+// are shorter than many strikes' distance to their next store, so the
+// edge where the flip lands only if its store commits within the
+// budget is crossed from both sides. fib-recursive's golden run is
+// 79,429 steps, so it runs fewer trials against the slow scalar
+// reference rather than being skipped.
+func FuzzUnSyncBatchMatchesScalar(f *testing.F) {
+	type libProg struct {
+		name string
+		prog *asm.Program
+		tr   *fault.Trace
+	}
+	var lib []libProg
+	for _, p := range progs.All() {
+		prog, err := p.Assemble()
+		if err != nil {
+			f.Fatal(err)
+		}
+		tr, err := fault.RecordTrace(prog, 1_000_000)
+		if err != nil {
+			f.Fatal(err)
+		}
+		lib = append(lib, libProg{p.Name, prog, tr})
+	}
+	for sel := uint8(0); sel < 8; sel++ {
+		f.Add(sel, uint64(sel)*7, uint64(sel)*0x9e3779b9, sel/2)
+	}
+	f.Fuzz(func(t *testing.T, progSel uint8, progSeed, siteSeed uint64, budgetSel uint8) {
+		var prog *asm.Program
+		var opts fault.TrialOpts
+		trials := make([]fault.BatchTrial, 16)
+		if i := int(progSel % 8); i < len(lib) {
+			// A library program, with the campaign's recorded trace.
+			prog = lib[i].prog
+			opts = fault.TrialOpts{Golden: lib[i].tr.Golden, Trace: lib[i].tr}
+			if lib[i].name == "fib-recursive" {
+				trials = trials[:3]
+			}
+		} else {
+			// A random program; the kernel records its own trace.
+			prog = proggen.Random(progSeed)
+			g := emu.New(prog)
+			if err := g.Run(1_000_000); err != nil || !g.Halted {
+				t.Fatalf("golden: halted=%v err=%v", g.Halted, err)
+			}
+			opts = fault.TrialOpts{Golden: g}
+		}
+		n := opts.Golden.InstCount
+		r := &batchRNG{s: siteSeed}
+		switch budgetSel % 4 {
+		case 1:
+			opts.StepBudget = 1 + r.next()%8
+		case 2:
+			opts.StepBudget = n/2 + 1
+		case 3:
+			opts.StepBudget = n
+		}
+		for i := range trials {
+			tr := fault.BatchTrial{Step: r.next() % (n + 4)}
+			if r.next()%4 != 0 {
+				tr.Flip = fault.Flip{Space: fault.SpaceCB, Bit: uint8(r.next() % 64)}
+			} else {
+				tr.Flip = randomFlip(r, prog.DataBase)
+				tr.Detected = r.next()%2 == 0
+			}
+			trials[i] = tr
+		}
+		res, stats, err := fault.UnSyncTrialBatch(prog, trials, opts)
+		if err != nil {
+			t.Fatalf("batch: %v", err)
+		}
+		if stats.Shortcut+stats.Lockstep+stats.Retired != stats.Lanes || stats.Lanes != uint64(len(trials)) {
+			t.Fatalf("stats do not sum: %+v", stats)
+		}
+		for i, tr := range trials {
+			want, werr := fault.RunUnSyncTrial(prog, tr.Step, tr.Flip, tr.Detected, opts)
+			if werr != nil {
+				t.Fatalf("trial %d: scalar: %v", i, werr)
+			}
+			if !res[i].Done || res[i].Outcome != want {
+				t.Fatalf("trial %d (%+v, budget %d, golden %d): batch %+v, scalar %v",
+					i, tr, opts.StepBudget, n, res[i], want)
+			}
+		}
+	})
 }
 
 // TestUnSyncTrialBatchOfOne pins the scalar escape hatch: a batch of
@@ -320,5 +412,166 @@ func TestReunionBatchHandsBackHaltedCheckpoint(t *testing.T) {
 	stats := reunionCase(t, src, tr, 5, 0, fault.OutcomeUnrecoverable)
 	if stats.Retired != 1 {
 		t.Fatalf("stats = %+v, want the lane retired to the scalar kernel", stats)
+	}
+}
+
+// TestReunionBatchRegisterLiveness pins the golden trace's register
+// liveness on the Reunion lane engine: a persistent register flip that
+// is overwritten or never read classifies without emulation
+// (Shortcut), and one that is read forks — at the boundary before the
+// read when that lies after the strike — and classifies as the scalar
+// kernel does. r5 and r6 are read at step 8, a window boundary for FI
+// 4 and 8; r6 is then overwritten at step 10; SYSCALL at step 12 reads
+// r2, r4 and f12 whichever service runs.
+func TestReunionBatchRegisterLiveness(t *testing.T) {
+	const src = `
+	li r5, 7
+	li r6, 1
+	nop
+	nop
+	nop
+	nop
+	nop
+	nop
+	add r4, r5, r6
+	nop
+	li r6, 2
+	li r2, 1
+	syscall
+	halt
+`
+	reg := func(space fault.Space, index uint8, step uint64) fault.BatchTrial {
+		return fault.BatchTrial{Step: step, Flip: fault.Flip{Space: space, Index: index, Bit: 3}}
+	}
+	cases := []struct {
+		name     string
+		tr       fault.BatchTrial
+		fi       int
+		budget   uint64
+		want     fault.Outcome
+		shortcut bool
+	}{
+		{"read across a boundary", reg(fault.SpaceIntReg, 5, 1), 4, 0, fault.OutcomeUnrecoverable, false},
+		{"read at the boundary", reg(fault.SpaceIntReg, 5, 1), 8, 0, fault.OutcomeUnrecoverable, false},
+		// The rollback to step 0 lands the flip before "li r5, 7"
+		// re-executes, which overwrites it.
+		{"read in the strike's window", reg(fault.SpaceIntReg, 5, 1), 16, 0, fault.OutcomeRecovered, false},
+		{"overwritten across a boundary", reg(fault.SpaceIntReg, 6, 8), 4, 0, fault.OutcomeBenign, true},
+		{"overwritten in the strike's window", reg(fault.SpaceIntReg, 6, 9), 16, 0, fault.OutcomeBenign, true},
+		{"never read", reg(fault.SpaceIntReg, 7, 2), 4, 0, fault.OutcomeBenign, true},
+		{"never read, over budget", reg(fault.SpaceIntReg, 7, 2), 4, 5, fault.OutcomeHang, true},
+		{"read by a syscall that ignores it", reg(fault.SpaceFPReg, 12, 1), 4, 0, fault.OutcomeBenign, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			stats := reunionCase(t, src, c.tr, c.fi, c.budget, c.want)
+			if got := stats.Shortcut == 1; got != c.shortcut {
+				t.Fatalf("stats %+v: shortcut %v, want %v", stats, got, c.shortcut)
+			}
+		})
+	}
+
+	// A lane forked late carries the flip in its checkpoints: r5 is
+	// read at step 8 without changing a commit, the window ending at
+	// step 12 verifies, and the printed copy of r5 then mismatches. The
+	// rollback to step 12 must keep the flip (it persists in its cell),
+	// not land it a second time.
+	const twice = `
+	li r5, 7
+	nop
+	nop
+	nop
+	nop
+	nop
+	nop
+	nop
+	add r8, r5, r0
+	nop
+	nop
+	nop
+	mv r4, r5
+	li r2, 1
+	syscall
+	halt
+`
+	reunionCase(t, twice, reg(fault.SpaceIntReg, 5, 1), 4, 0, fault.OutcomeUnrecoverable)
+}
+
+// TestUnSyncBatchCBBudgetEdge pins where an undetected CB flip lands:
+// on the first store at or after the strike, only if that store
+// commits within StepBudget steps of it. The store is d steps after
+// the strike, so a budget of d misses it (benign) and d+1 lands the
+// flip on the stored word, which is loaded and printed (SDC).
+func TestUnSyncBatchCBBudgetEdge(t *testing.T) {
+	prog := asm.MustAssemble(`
+	la r10, buf
+	li r4, 5
+	nop
+	nop
+	sw r4, 0(r10)
+	lw r4, 0(r10)
+	li r2, 1
+	syscall
+	halt
+.data
+buf: .space 8
+`)
+	store := -1
+	for i, in := range prog.Insts {
+		if in.Class() == isa.ClassStore {
+			store = i
+			break
+		}
+	}
+	const strike = 1
+	d := uint64(store - strike)
+	tr := fault.BatchTrial{Step: strike, Flip: fault.Flip{Space: fault.SpaceCB, Bit: 2}}
+	for _, c := range []struct {
+		budget uint64
+		want   fault.Outcome
+	}{{d, fault.OutcomeBenign}, {d + 1, fault.OutcomeSDC}} {
+		budget, want := c.budget, c.want
+		opts := fault.TrialOpts{StepBudget: budget}
+		scalar, err := fault.RunUnSyncTrial(prog, tr.Step, tr.Flip, false, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := fault.UnSyncTrialBatch(prog, []fault.BatchTrial{tr}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scalar != want || res[0].Outcome != want || !res[0].Done {
+			t.Fatalf("budget %d (store %d steps after the strike): scalar %v, batch %+v, want %v",
+				budget, d, scalar, res[0], want)
+		}
+	}
+}
+
+// TestRecordTraceMatchesGolden pins that recording the trace runs the
+// same golden run as Golden, under the same step budget and error
+// contract.
+func TestRecordTraceMatchesGolden(t *testing.T) {
+	for _, p := range progs.All() {
+		prog, err := p.Assemble()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := fault.Golden(prog, 1_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := fault.RecordTrace(prog, 1_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Golden.InstCount != g.InstCount || !emu.SameOutput(tr.Golden, g) ||
+			!emu.SameArchState(tr.Golden, g) || tr.Golden.OnCommit != nil {
+			t.Fatalf("%s: trace golden differs from Golden", p.Name)
+		}
+		_, gerr := fault.Golden(prog, g.InstCount-1)
+		_, terr := fault.RecordTrace(prog, g.InstCount-1)
+		if !errors.Is(terr, fault.ErrGoldenFailed) || terr.Error() != gerr.Error() {
+			t.Fatalf("%s: short budget: RecordTrace %v, Golden %v", p.Name, terr, gerr)
+		}
 	}
 }

@@ -226,11 +226,21 @@ func OutcomeByName(name string) (Outcome, bool) {
 var ErrGoldenFailed = errors.New("fault: golden run failed")
 
 // Golden executes the program fault-free and returns the halted
-// reference machine. Campaigns run it once and share it across trials
-// via TrialOpts.Golden.
+// reference machine, for callers to share across trials via
+// TrialOpts.Golden. Campaigns run it through RecordTrace, which also
+// records the run for the batch kernels.
 func Golden(prog *asm.Program, maxSteps uint64) (*emu.Machine, error) {
+	return golden(prog, maxSteps, nil)
+}
+
+// golden is Golden with an optional per-commit hook (RecordTrace's
+// recorder); the returned machine carries no hook.
+func golden(prog *asm.Program, maxSteps uint64, onCommit func(emu.Commit)) (*emu.Machine, error) {
 	g := emu.New(prog)
-	if err := g.Run(maxSteps); err != nil {
+	g.OnCommit = onCommit
+	err := g.Run(maxSteps)
+	g.OnCommit = nil
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrGoldenFailed, err)
 	}
 	if !g.Halted {
@@ -262,6 +272,11 @@ type TrialOpts struct {
 	// program (it must have halted). Campaigns set it so n trials share
 	// one golden run instead of recomputing it n times.
 	Golden *emu.Machine
+	// Trace, when non-nil, is the recorded golden run of this program
+	// under MaxSteps (RecordTrace). The batch kernels read it — its
+	// Golden included — instead of recording their own; campaigns
+	// record it once and share it across every batch.
+	Trace *Trace
 	// Ctx, when non-nil, is polled every trialCtxQuantum emulated steps:
 	// on cancellation the trial aborts and returns the cancellation
 	// cause as its error. The step budget stays the deterministic

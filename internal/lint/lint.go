@@ -285,9 +285,18 @@ func load(cfg Config) (*module, error) {
 		if !d.IsDir() {
 			return nil
 		}
+		if path == cfg.Root {
+			dirs = append(dirs, path)
+			return nil
+		}
 		name := d.Name()
-		if path != cfg.Root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-			name == "testdata" || name == "vendor") {
+		if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+			name == "testdata" || name == "vendor" {
+			return filepath.SkipDir
+		}
+		// A directory with its own go.mod is a nested module, outside
+		// this one, as the go tool sees it.
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 			return filepath.SkipDir
 		}
 		dirs = append(dirs, path)

@@ -827,3 +827,49 @@ func Elsewhere(out [][]uint64, i int, v uint64) [][]uint64 {
 		t.Errorf("out-of-scope allocations flagged: %v", fs)
 	}
 }
+
+// TestLintSkipsNestedModules: a subdirectory holding its own go.mod is
+// a separate module, as the go tool sees it, so its packages are not
+// linted or typechecked as part of the enclosing one. Here the nested
+// module imports its own packages, which the enclosing module cannot
+// resolve, and runs a wall-clock read in a deterministic directory.
+func TestLintSkipsNestedModules(t *testing.T) {
+	files := map[string]string{
+		"go.mod":       fixtureGoMod,
+		"fixture.go":   "package fixture\n\nfunc Add(a, b int) int { return a + b }\n",
+		"bench/go.mod": "module example.com/bench\n\ngo 1.22\n",
+		"bench/main.go": `package main
+
+import (
+	"fmt"
+
+	"example.com/bench/internal/core"
+)
+
+func main() { fmt.Println(core.Now()) }
+`,
+		"bench/internal/core/core.go": `package core
+
+import "time"
+
+func Now() int64 { return time.Now().UnixNano() }
+`,
+	}
+	root := writeModule(t, files)
+	findings, err := Run(fixtureConfig(root))
+	if err != nil {
+		t.Fatalf("lint descended into the nested module: %v", err)
+	}
+	if len(findings) != 0 {
+		t.Fatalf("findings in the nested module: %v", findings)
+	}
+	// Linted as its own root, the nested module is checked as usual.
+	cfg := fixtureConfig(filepath.Join(root, "bench"))
+	findings, err = Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) == 0 {
+		t.Fatal("nested module linted as its own root: want the wall-clock finding")
+	}
+}

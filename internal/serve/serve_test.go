@@ -205,8 +205,11 @@ func TestOverloadSheds429(t *testing.T) {
 }
 
 func TestDrainRestartResumesBitIdentical(t *testing.T) {
+	// Long enough that the drain lands mid-run: the lane engine runs
+	// about 300k checksum trials per CPU second.
+	const trials = 30_000
 	stateDir := t.TempDir()
-	req := campaignReq(1500)
+	req := campaignReq(trials)
 	srv, ts := newTestServer(t, Config{StateDir: stateDir})
 	resp, job := submit(t, ts, req)
 	if resp.StatusCode != http.StatusAccepted {
@@ -238,7 +241,7 @@ func TestDrainRestartResumesBitIdentical(t *testing.T) {
 	if b, err := os.ReadFile(ckpt); err == nil {
 		trialsAtDrain = bytes.Count(b, []byte("\n"))
 	}
-	if trialsAtDrain >= 1500 {
+	if trialsAtDrain >= trials {
 		t.Skip("campaign finished before the drain; host too fast for this cut")
 	}
 
@@ -262,8 +265,8 @@ func TestDrainRestartResumesBitIdentical(t *testing.T) {
 	if err := json.Unmarshal(done.Result, &res); err != nil {
 		t.Fatal(err)
 	}
-	if res.Ran != 1500 {
-		t.Fatalf("resumed campaign ran %d trials, want 1500", res.Ran)
+	if res.Ran != trials {
+		t.Fatalf("resumed campaign ran %d trials, want %d", res.Ran, trials)
 	}
 }
 
