@@ -35,6 +35,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -111,14 +112,15 @@ type Spec struct {
 	// also forces the scalar trial path: a per-lane wall clock cannot
 	// be enforced inside a shared batch kernel.
 	TrialTimeout time.Duration
-	// Batch is the lane width of the batched structure-of-arrays trial
-	// engine: workers claim trials in groups of up to Batch lanes and
-	// classify them against the shared golden run in one kernel call
-	// (fault.UnSyncTrialBatch / fault.ReunionTrialBatch). 1 selects the
-	// scalar path — the semantic reference — and 0 selects
-	// DefaultBatch. Outcomes, journal records and the final Result are
-	// bit-identical across batch widths, so Batch — like Workers — is
-	// excluded from the journal key.
+	// Batch is the journal chunk width: the checkpoint takes one write
+	// (and a shard one serialized emit run) per chunk of up to Batch
+	// trials, in index order. Workers claim passes of whole chunks and
+	// classify each pass in one call of the batched structure-of-arrays
+	// kernels (fault.UnSyncTrialBatch / fault.ReunionTrialBatch; see
+	// passChunks). 1 selects the scalar path — the semantic reference —
+	// and 0 selects DefaultBatch. Outcomes, journal records and the
+	// final Result are bit-identical across batch widths, so Batch —
+	// like Workers — is excluded from the journal key.
 	Batch int
 	// Stats, when non-nil, accumulates lane-engine scheduling counters
 	// (shortcut / lockstep / retired-to-scalar lanes) across the
@@ -136,10 +138,10 @@ type Spec struct {
 	Observer func(TrialRecord)
 }
 
-// DefaultBatch is the default lane width of the batched trial engine.
-// Wide enough to amortize the shared golden-replay cursor across the
-// batch, narrow enough that a campaign of a few hundred trials still
-// spreads across a worker pool.
+// DefaultBatch is the default journal chunk width: the grain of
+// checkpoint writes and shard emits. The kernels' golden cursor is
+// shared by a pass of several chunks (passChunks), not by one chunk,
+// so the width need not grow to amortize it.
 const DefaultBatch = 32
 
 // BatchStats aggregates fault.BatchStats across a campaign's worker
@@ -147,6 +149,7 @@ const DefaultBatch = 32
 // returns.
 type BatchStats struct {
 	lanes, shortcut, lockstep, retired atomic.Uint64
+	cursorSteps, laneSteps             atomic.Uint64
 }
 
 // add folds one kernel invocation's counters in. A nil receiver
@@ -159,6 +162,8 @@ func (s *BatchStats) add(b fault.BatchStats) {
 	s.shortcut.Add(b.Shortcut)
 	s.lockstep.Add(b.Lockstep)
 	s.retired.Add(b.Retired)
+	s.cursorSteps.Add(b.CursorSteps)
+	s.laneSteps.Add(b.LaneSteps)
 }
 
 // Lanes returns the number of trials classified by batch kernels.
@@ -173,6 +178,14 @@ func (s *BatchStats) Lockstep() uint64 { return s.lockstep.Load() }
 
 // Retired returns the lanes that retired to the scalar finishing path.
 func (s *BatchStats) Retired() uint64 { return s.retired.Load() }
+
+// CursorSteps returns the instructions the kernels' golden cursors
+// replayed to reach their lanes' fork points.
+func (s *BatchStats) CursorSteps() uint64 { return s.cursorSteps.Load() }
+
+// LaneSteps returns the instructions the kernels emulated on faulted
+// lanes.
+func (s *BatchStats) LaneSteps() uint64 { return s.laneSteps.Load() }
 
 // RetiredFrac returns the fraction of batch lanes that retired to the
 // scalar path (0 when no lanes ran batched).
@@ -354,10 +367,11 @@ func Run(prog *asm.Program, spec Spec) (Result, error) {
 // comes back alongside errors.Join(ErrInterrupted, cause) — so a
 // cancelled campaign is a resumable checkpoint, not a wasted run.
 //
-// The journal takes one write per worker chunk (at most Spec.Batch
-// records, in index order, encoded with TrialRecord.AppendJSON), so a
-// kill of the process loses at most the chunks in flight; a resume
-// re-runs them deterministically.
+// The journal takes one write per chunk (at most Spec.Batch records,
+// in index order, encoded with TrialRecord.AppendJSON). A worker
+// journals a pass's chunks once the whole pass is classified, so a
+// kill of the process loses at most the passes in flight, one per
+// worker; a resume re-runs them deterministically.
 func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, error) {
 	spec = spec.withDefaults()
 	res := Result{
@@ -378,16 +392,17 @@ func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, erro
 	res.Prog = ProgHash(prog)
 	key := spec.Key(res.Prog)
 
-	var loaded map[int]TrialRecord
+	var loaded []TrialRecord // resumed records by index; empty Key = none
 	var jn *journal.Log
 	if spec.Checkpoint != "" {
 		if spec.Resume {
+			var n int
 			var foreign map[string]int
-			loaded, foreign, err = loadJournal(spec.Checkpoint, key)
+			loaded, n, foreign, err = loadJournal(spec.Checkpoint, key, res.Prog, spec.Trials)
 			if err != nil {
 				return res, err
 			}
-			if len(loaded) == 0 && len(foreign) > 0 {
+			if n == 0 && len(foreign) > 0 {
 				// The journal holds records — just none for this campaign.
 				// Starting fresh here would silently discard the work the
 				// user pointed -resume at: the flags (or the program) no
@@ -419,16 +434,16 @@ func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, erro
 		}
 		var todo []int
 		for i := lo; i < hi; i++ {
-			if r, ok := loaded[i]; ok {
-				r := r
-				recs[i] = &r
+			if i < len(loaded) && loaded[i].Key != "" {
+				r := &loaded[i]
+				recs[i] = r
 				// Resumed records replay through the observer so a
 				// streaming plane sees the whole campaign, not just the
 				// tail executed after the restart; the DLQ's replayed
 				// sidecar keeps an already-captured entry from being
 				// written twice.
 				if spec.Observer != nil {
-					spec.Observer(r)
+					spec.Observer(*r)
 				}
 			} else {
 				todo = append(todo, i)
@@ -438,22 +453,16 @@ func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, erro
 			todo = todo[:spec.StopAfter-newly]
 			interrupted = true
 		}
-		// Workers claim trials in batches of up to Spec.Batch lanes.
-		// sweep.MapContext recovers per-batch panics into indexed
-		// errors (one corrupted trial cannot take down the campaign)
-		// and stops scheduling batches once ctx is cancelled or a
-		// batch panics.
-		chunks := chunkIndices(todo, spec.Batch)
-		out, mapErr := sweep.MapContext(ctx, chunks, spec.Workers, func(ctx context.Context, chunk []int) ([]TrialRecord, error) {
-			crecs, err := runTrialChunk(ctx, prog, tr, spec, key, res.Prog, chunk)
-			if jerr := journalChunk(jn, crecs, spec.Observer); jerr != nil {
-				return crecs, jerr
-			}
-			return crecs, err
+		// Workers claim passes of whole chunks (runPasses). sweep
+		// recovers per-pass panics into indexed errors (one corrupted
+		// trial cannot take down the campaign) and stops scheduling
+		// passes once ctx is cancelled or a pass panics.
+		passes, out, mapErr := runPasses(ctx, prog, tr, spec, key, res.Prog, todo, func(crecs []TrialRecord) error {
+			return journalChunk(jn, crecs, spec.Observer)
 		})
 		cancelled := ctx.Err() != nil
-		for k, chunk := range chunks {
-			for j, i := range chunk {
+		for k, pass := range passes {
+			for j, i := range pass {
 				if k >= len(out) || j >= len(out[k]) {
 					continue
 				}
@@ -684,7 +693,7 @@ func runTrial(ctx context.Context, prog *asm.Program, g *emu.Machine, spec Spec,
 	return rec, nil
 }
 
-// chunkIndices groups trial indices into batches of at most width,
+// chunkIndices groups trial indices into groups of at most width,
 // preserving index order.
 func chunkIndices(idxs []int, width int) [][]int {
 	if width < 1 {
@@ -701,20 +710,68 @@ func chunkIndices(idxs []int, width int) [][]int {
 	return out
 }
 
-// runTrialChunk executes a group of trials through the batched lane
-// kernels, stamping each record with the params key and the caller's
-// program hash. The scalar runTrial path handles chunk width 1, wall-clock
-// watchdog campaigns (a per-lane deadline cannot be enforced inside a
-// shared kernel), and any lane the kernel hands back with a harness
-// error — preserving the scalar retry-with-reseed contract exactly.
-// The returned slice parallels chunk; a zero record (empty Key) means
-// the trial was interrupted before classification and must not be
-// journaled or tallied.
-func runTrialChunk(ctx context.Context, prog *asm.Program, tr *fault.Trace, spec Spec, key, hash string, chunk []int) ([]TrialRecord, error) {
+// maxPassChunks caps the journal chunks in one worker pass. Each kernel
+// call runs a golden cursor up to its last surviving lane's fork, so a
+// pass of n chunks replays the golden prefix once where n chunks would
+// replay it n times. At 16 chunks (512 trials at DefaultBatch) the
+// cursor is under 8 % of the lane steps of a checksum campaign; the
+// benchmark's campaign workload on 2 vCPUs read 200k, 204k, 227k and
+// 216k trials/cpu-s at caps of 4, 8, 16 and 32.
+const maxPassChunks = 16
+
+// passChunks sizes a worker pass from the trials pending in one
+// scheduling call: enough chunks per pass to share the cursor, but at
+// least four passes per worker, so a small campaign still spreads over
+// the whole pool and a cancel still finds passes left to skip. The
+// scalar path (Batch 1, or a wall-clock trial watchdog) has no cursor
+// to share and keeps one chunk per pass.
+func passChunks(pending int, spec Spec) int {
+	if spec.scalar() {
+		return 1
+	}
+	workers := spec.Workers
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	per := spec.Batch * workers * 4
+	return min(max((pending+per-1)/per, 1), maxPassChunks)
+}
+
+// runPasses runs the pending trials todo on the worker pool, the one
+// scheduling path of RunContext and RunShard. A worker's unit of work
+// is a pass: whole Batch-wide chunks of todo, classified by one kernel
+// call (runTrialPass), then handed to sink chunk by chunk in index
+// order. The chunks are the ones a pass of one chunk would form, so
+// sink sees the same record groups at every pass width. It returns the
+// passes and, parallel to them, their records, with sweep's error.
+func runPasses(ctx context.Context, prog *asm.Program, tr *fault.Trace, spec Spec, key, hash string, todo []int, sink func([]TrialRecord) error) ([][]int, [][]TrialRecord, error) {
+	passes := chunkIndices(todo, spec.Batch*passChunks(len(todo), spec))
+	out, err := sweep.MapContext(ctx, passes, spec.Workers, func(ctx context.Context, pass []int) ([]TrialRecord, error) {
+		recs, err := runTrialPass(ctx, prog, tr, spec, key, hash, pass)
+		for lo := 0; lo < len(recs); lo += spec.Batch {
+			if serr := sink(recs[lo:min(lo+spec.Batch, len(recs))]); serr != nil {
+				return recs, serr
+			}
+		}
+		return recs, err
+	})
+	return passes, out, err
+}
+
+// runTrialPass executes a pass of trials through one call of the
+// batched lane kernels, stamping each record with the params key and
+// the caller's program hash. The scalar runTrial path handles a pass of
+// one trial, Batch 1, wall-clock watchdog campaigns (a per-lane
+// deadline cannot be enforced inside a shared kernel), and any lane the
+// kernel hands back with a harness error — preserving the scalar
+// retry-with-reseed contract exactly. The returned slice parallels
+// pass; a zero record (empty Key) means the trial was interrupted
+// before classification and must not be journaled or tallied.
+func runTrialPass(ctx context.Context, prog *asm.Program, tr *fault.Trace, spec Spec, key, hash string, pass []int) ([]TrialRecord, error) {
 	g := tr.Golden
-	recs := make([]TrialRecord, len(chunk))
-	if len(chunk) == 1 || spec.Batch <= 1 || spec.TrialTimeout > 0 {
-		for j, i := range chunk {
+	recs := make([]TrialRecord, len(pass))
+	if len(pass) == 1 || spec.scalar() {
+		for j, i := range pass {
 			rec, err := runTrial(ctx, prog, g, spec, key, hash, i)
 			if err != nil {
 				return recs, err
@@ -727,9 +784,9 @@ func runTrialChunk(ctx context.Context, prog *asm.Program, tr *fault.Trace, spec
 	// Derive every lane's site (attempt 0, exactly as the scalar path
 	// starts) and resolve it as execute does; ECC-corrected strikes
 	// classify inline.
-	kTrials := make([]fault.BatchTrial, 0, len(chunk))
-	kPos := make([]int, 0, len(chunk)) // kernel lane -> position in chunk
-	for j, i := range chunk {
+	kTrials := make([]fault.BatchTrial, 0, len(pass))
+	kPos := make([]int, 0, len(pass)) // kernel lane -> position in pass
+	for j, i := range pass {
 		step, f := deriveSite(spec, g.InstCount, prog, i, 0)
 		detected, transient, corrected := spec.resolve(f.Space)
 		recs[j] = TrialRecord{
@@ -767,7 +824,7 @@ func runTrialChunk(ctx context.Context, prog *asm.Program, tr *fault.Trace, spec
 			// The kernel could not classify the lane (an invalid site,
 			// unreachable for derived sites): the scalar path owns it,
 			// including retries.
-			rec, err := runTrial(ctx, prog, g, spec, key, hash, chunk[j])
+			rec, err := runTrial(ctx, prog, g, spec, key, hash, pass[j])
 			if err != nil {
 				for _, j := range kPos[k:] {
 					recs[j] = TrialRecord{}
@@ -783,6 +840,11 @@ func runTrialChunk(ctx context.Context, prog *asm.Program, tr *fault.Trace, spec
 	}
 	return recs, kerr
 }
+
+// scalar reports whether every trial takes the scalar runTrial path:
+// Batch 1, or a wall-clock trial watchdog, which a shared kernel cannot
+// enforce per lane.
+func (s Spec) scalar() bool { return s.Batch <= 1 || s.TrialTimeout > 0 }
 
 // resolve is the coverage policy: it maps a fault space to whether the
 // scheme detects the flip, whether a Reunion flip is in flight

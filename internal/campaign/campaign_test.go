@@ -15,6 +15,7 @@ import (
 	"github.com/cmlasu/unsync/internal/asm"
 	"github.com/cmlasu/unsync/internal/fault"
 	"github.com/cmlasu/unsync/internal/journal"
+	"github.com/cmlasu/unsync/internal/progs"
 )
 
 // tearJournalTail truncates the journal mid-way through its final
@@ -615,6 +616,91 @@ func TestBatchBitIdentity(t *testing.T) {
 			t.Errorf("%s: BatchStats do not sum: %d+%d+%d != %d",
 				scheme, stats.Shortcut(), stats.Lockstep(), stats.Retired(), stats.Lanes())
 		}
+	}
+}
+
+// libraryProg assembles a program of the workload library.
+func libraryProg(t *testing.T, name string) *asm.Program {
+	t.Helper()
+	p, ok := progs.ByName(name)
+	if !ok {
+		t.Fatalf("no %q program", name)
+	}
+	prog, err := p.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// TestPassBitIdentity is TestBatchBitIdentity at pass scale: with 4,096
+// trials on one worker, the default width packs 16 chunks into each
+// kernel call, and the Result and journal bytes must still equal the
+// scalar path's. bubblesort retires lanes to the scalar finishing
+// loop, so the packed pass covers that path as well as checksum's
+// mostly static classification.
+func TestPassBitIdentity(t *testing.T) {
+	for _, name := range []string{"checksum", "bubblesort"} {
+		prog := libraryProg(t, name)
+		for _, scheme := range []string{SchemeUnSync, SchemeReunion} {
+			dir := t.TempDir()
+			base := Spec{Scheme: scheme, Trials: 4096, Seed: 5, MaxSteps: 20_000, Workers: 1}
+			if n := passChunks(base.Trials, base.withDefaults()); n < 2 {
+				t.Fatalf("%d trials form passes of %d chunk(s); the test needs packed passes", base.Trials, n)
+			}
+
+			scalar := base
+			scalar.Batch = 1
+			scalar.Checkpoint = filepath.Join(dir, "scalar.jsonl")
+			sres, err := Run(prog, scalar)
+			if err != nil {
+				t.Fatalf("%s/%s scalar: %v", name, scheme, err)
+			}
+			packed := base
+			packed.Checkpoint = filepath.Join(dir, "packed.jsonl")
+			pres, err := Run(prog, packed)
+			if err != nil {
+				t.Fatalf("%s/%s packed: %v", name, scheme, err)
+			}
+
+			if !reflect.DeepEqual(sres, pres) {
+				t.Errorf("%s/%s: packed Result differs from scalar:\nscalar: %+v\npacked: %+v", name, scheme, sres, pres)
+			}
+			sb, err := os.ReadFile(scalar.Checkpoint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pb, err := os.ReadFile(packed.Checkpoint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(sb, pb) {
+				t.Errorf("%s/%s: packed journal bytes differ from scalar", name, scheme)
+			}
+		}
+	}
+}
+
+// TestPassSharesCursor pins what packing buys: across a 32,768-trial
+// UnSync checksum campaign on one worker, the golden cursor replays
+// fewer than a quarter as many instructions as the faulted lanes run.
+// With one kernel call per 32-trial chunk it replayed more than the
+// lanes did.
+func TestPassSharesCursor(t *testing.T) {
+	prog := libraryProg(t, "checksum")
+	stats := &BatchStats{}
+	spec := Spec{Scheme: SchemeUnSync, Trials: 32768, Seed: 1, MaxSteps: 20_000, Workers: 1, Stats: stats}
+	if _, err := Run(prog, spec); err != nil {
+		t.Fatal(err)
+	}
+	cursor, lane := stats.CursorSteps(), stats.LaneSteps()
+	if lane == 0 {
+		t.Fatal("no lane steps counted")
+	}
+	t.Logf("cursor %d steps, lanes %d steps", cursor, lane)
+	if 4*cursor >= lane {
+		t.Errorf("cursor replayed %d steps against %d lane steps (%.0f %%), want below 25 %%",
+			cursor, lane, 100*float64(cursor)/float64(lane))
 	}
 }
 

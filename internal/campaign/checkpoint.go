@@ -65,26 +65,48 @@ func (r TrialRecord) Equal(o TrialRecord) bool {
 }
 
 // loadJournal reads a JSONL checkpoint and returns the records whose
-// Key matches key, indexed by trial index, plus a count of records
+// Key matches key, indexed by trial index: recs[i] is the last such
+// record for trial i, or the zero record (empty Key) when the journal
+// holds none, and n counts the indices present. Indices outside
+// [0, trials) are ignored, and recs grows only as far as the highest
+// index found. Matching records share key and prog (the campaign's
+// program hash) instead of copying them. foreign counts the records
 // carrying each other key seen in the file: a checkpoint may be shared
 // by several specs, whose lines are well-formed and simply skipped. A
-// missing file is not an error (nothing to resume). Lines decode
-// through TrialRecord.DecodeJSON; the torn-tail policy is
-// journal.Replay's.
-func loadJournal(path, key string) (map[int]TrialRecord, map[string]int, error) {
-	recs := make(map[int]TrialRecord)
-	foreign := make(map[string]int)
-	err := journal.Replay(path, func(rec TrialRecord) error {
+// missing file is not an error (nothing to resume). The torn-tail
+// policy is journal.Replay's.
+func loadJournal(path, key, prog string, trials int) (recs []TrialRecord, n int, foreign map[string]int, err error) {
+	foreign = make(map[string]int)
+	err = journal.ReplayDecode(path, func(raw []byte, rec *TrialRecord) error {
+		return rec.decodeKeyed(raw, key, prog)
+	}, func(rec TrialRecord) error {
 		switch {
 		case rec.Key == key:
-			recs[rec.Index] = rec
+			i := rec.Index
+			if i < 0 || i >= trials {
+				return nil
+			}
+			if i >= len(recs) {
+				if i >= cap(recs) {
+					// Double, not append's gentler growth: a resume of
+					// 16k records would otherwise copy 5× their size.
+					grown := make([]TrialRecord, len(recs), min(max(2*cap(recs), i+1, 1024), trials))
+					copy(grown, recs)
+					recs = grown
+				}
+				recs = recs[:i+1]
+			}
+			if recs[i].Key == "" {
+				n++
+			}
+			recs[i] = rec
 		case rec.Key != "":
 			foreign[rec.Key]++
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("campaign: checkpoint %w", err)
+		return nil, 0, nil, fmt.Errorf("campaign: checkpoint %w", err)
 	}
-	return recs, foreign, nil
+	return recs, n, foreign, nil
 }

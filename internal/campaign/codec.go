@@ -113,10 +113,18 @@ func plainString(s string) bool {
 // another field order, whitespace, escapes, non-ASCII bytes, numbers
 // out of range, a torn line — goes to json.Unmarshal.
 func (r *TrialRecord) DecodeJSON(raw []byte) error {
+	return r.decodeKeyed(raw, "", "")
+}
+
+// decodeKeyed is DecodeJSON for a reader that expects key and prog: a
+// canonical line whose Key and Prog bytes equal them gets those strings
+// instead of a copy, so decoding a matching record allocates nothing
+// for them.
+func (r *TrialRecord) decodeKeyed(raw []byte, key, prog string) error {
 	// Decode into a copy so a half-parsed line never leaks into r, and
 	// fields the line omits keep r's values, as with json.Unmarshal.
 	t := *r
-	if t.decodeCanonical(raw) {
+	if t.decodeCanonical(raw, key, prog) {
 		*r = t
 		return nil
 	}
@@ -137,8 +145,9 @@ var internedNames = func() map[string]string {
 }()
 
 // decodeCanonical parses raw in the canonical form into r, reporting
-// false at the first byte that departs from it.
-func (r *TrialRecord) decodeCanonical(raw []byte) bool {
+// false at the first byte that departs from it. Key and Prog reuse key
+// and prog when the line's bytes match both.
+func (r *TrialRecord) decodeCanonical(raw []byte, key, prog string) bool {
 	d := canonDecoder{b: raw}
 	if !d.lit(`{"key":`) {
 		return false
@@ -151,9 +160,13 @@ func (r *TrialRecord) decodeCanonical(raw []byte) bool {
 	if !ok {
 		return false
 	}
-	// Key and Prog share one allocation.
-	kp := string(raw[ks:pe])
-	r.Key, r.Prog = kp[:ke-ks], kp[ps-ks:]
+	if string(raw[ks:ke]) == key && string(raw[ps:pe]) == prog {
+		r.Key, r.Prog = key, prog
+	} else {
+		// Key and Prog share one allocation.
+		kp := string(raw[ks:pe])
+		r.Key, r.Prog = kp[:ke-ks], kp[ps-ks:]
+	}
 	if !d.lit(`,"seed":`) {
 		return false
 	}

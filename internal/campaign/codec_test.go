@@ -139,7 +139,7 @@ func TestDecodeJSONMatchesUnmarshal(t *testing.T) {
 		// The canonical form must take the hand-written path, not just
 		// agree with the fallback.
 		var fast TrialRecord
-		if rec.plain() && (!fast.decodeCanonical(b) || !fast.Equal(rec)) {
+		if rec.plain() && (!fast.decodeCanonical(b, "", "") || !fast.Equal(rec)) {
 			t.Fatalf("canonical line %s missed the fast path (decoded %+v)", b, fast)
 		}
 	}
@@ -147,14 +147,16 @@ func TestDecodeJSONMatchesUnmarshal(t *testing.T) {
 
 // checkDecode asserts DecodeJSON and json.Unmarshal agree on raw: the
 // same error text and the same value, both into a zero record and into
-// one whose fields the line may leave untouched.
+// one whose fields the line may leave untouched. decodeKeyed, given the
+// decoded Key and Prog as the expected strings, must agree too.
 func checkDecode(t *testing.T, raw []byte) {
 	t.Helper()
 	prefilled := TrialRecord{Key: "old", Reg: 3, Addr: 9, Outcome: "sdc", Err: "old", AttemptErrs: []string{"old"}}
 	for _, start := range []TrialRecord{{}, prefilled} {
-		want, got := start, start
+		want, got, keyed := start, start, start
 		want.AttemptErrs = append([]string(nil), start.AttemptErrs...)
 		got.AttemptErrs = append([]string(nil), start.AttemptErrs...)
+		keyed.AttemptErrs = append([]string(nil), start.AttemptErrs...)
 		werr := json.Unmarshal(raw, &want)
 		gerr := got.DecodeJSON(raw)
 		if fmt.Sprint(gerr) != fmt.Sprint(werr) {
@@ -162,6 +164,10 @@ func checkDecode(t *testing.T, raw []byte) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("DecodeJSON(%q):\n got %#v\nwant %#v", raw, got, want)
+		}
+		kerr := keyed.decodeKeyed(raw, want.Key, want.Prog)
+		if fmt.Sprint(kerr) != fmt.Sprint(werr) || !reflect.DeepEqual(keyed, want) {
+			t.Fatalf("decodeKeyed(%q): %v %#v, json.Unmarshal: %v %#v", raw, kerr, keyed, werr, want)
 		}
 	}
 }

@@ -207,14 +207,17 @@ func TestAttemptChainSurvivesJournal(t *testing.T) {
 	}
 
 	key := spec.Key(ProgHash(prog))
-	loaded, _, err := loadJournal(ck, key)
+	loaded, n, _, err := loadJournal(ck, key, ProgHash(prog), spec.Trials)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded) != 2 {
-		t.Fatalf("journal recovered %d records, want 2", len(loaded))
+	if n != 2 {
+		t.Fatalf("journal recovered %d records, want 2", n)
 	}
 	for i, r := range loaded {
+		if r.Key == "" {
+			t.Fatalf("journal lost trial %d", i)
+		}
 		if len(r.AttemptErrs) != 2 { // default Retries=1 → 2 attempts
 			t.Fatalf("journaled trial %d chain: %v, want 2 attempts", i, r.AttemptErrs)
 		}

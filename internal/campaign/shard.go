@@ -7,7 +7,6 @@ import (
 
 	"github.com/cmlasu/unsync/internal/asm"
 	"github.com/cmlasu/unsync/internal/fault"
-	"github.com/cmlasu/unsync/internal/sweep"
 )
 
 // RunShard executes the trial range [lo, hi) of a campaign, skipping
@@ -19,7 +18,7 @@ import (
 // single-node run would journal for the same indices.
 //
 // emit is called exactly once per classified trial, serialized (never
-// concurrently), in trial-index order within each worker chunk but in
+// concurrently), in trial-index order within each chunk but in
 // completion order across chunks — the same ordering contract as the
 // single-node checkpoint journal under multiple workers. An emit error
 // aborts the shard. Spec.Checkpoint, Resume, CIWidth and StopAfter are
@@ -27,7 +26,7 @@ import (
 // coordinator, not the shard.
 //
 // The returned error is non-nil when the shard was cut short (context
-// cancellation, a panicking batch, or an emit failure): some records
+// cancellation, a panicking pass, or an emit failure): some records
 // may have been emitted, none were lost. Per-trial harness failures do
 // NOT abort the shard — they are emitted as records carrying Err,
 // exactly as the single-node path journals them.
@@ -58,20 +57,18 @@ func RunShard(ctx context.Context, prog *asm.Program, spec Spec, lo, hi int, ski
 	}
 
 	var emitMu sync.Mutex
-	chunks := chunkIndices(todo, spec.Batch)
-	_, mapErr := sweep.MapContext(ctx, chunks, spec.Workers, func(ctx context.Context, chunk []int) (struct{}, error) {
-		crecs, err := runTrialChunk(ctx, prog, tr, spec, key, hash, chunk)
+	_, _, mapErr := runPasses(ctx, prog, tr, spec, key, hash, todo, func(crecs []TrialRecord) error {
 		emitMu.Lock()
 		defer emitMu.Unlock()
 		for j := range crecs {
 			if crecs[j].Key == "" {
 				continue // interrupted before classification
 			}
-			if eerr := emit(crecs[j]); eerr != nil {
-				return struct{}{}, eerr
+			if err := emit(crecs[j]); err != nil {
+				return err
 			}
 		}
-		return struct{}{}, err
+		return nil
 	})
 	return mapErr
 }

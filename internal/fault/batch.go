@@ -71,19 +71,19 @@ type BatchResult struct {
 // retired to the scalar finishing path (Retired). The Reunion kernel
 // counts the lanes its engine classifies as Lockstep and its hand-backs
 // to RunReunionTrial as Retired (see batch_reunion.go).
+//
+// CursorSteps counts the instructions the golden cursor replayed to
+// reach the batch's fork points; LaneSteps counts the instructions the
+// kernel emulated on faulted lanes (lockstep and finishing loop, but
+// not a Reunion hand-back, which the scalar kernel runs). Their ratio
+// is the share of emulation spent re-deriving golden state.
 type BatchStats struct {
-	Lanes    uint64
-	Shortcut uint64
-	Lockstep uint64
-	Retired  uint64
-}
-
-// add accumulates another batch's counters.
-func (s *BatchStats) add(o BatchStats) {
-	s.Lanes += o.Lanes
-	s.Shortcut += o.Shortcut
-	s.Lockstep += o.Lockstep
-	s.Retired += o.Retired
+	Lanes       uint64
+	Shortcut    uint64
+	Lockstep    uint64
+	Retired     uint64
+	CursorSteps uint64
+	LaneSteps   uint64
 }
 
 // UnSyncTrialBatch classifies a batch of UnSync injection trials
@@ -204,6 +204,7 @@ func UnSyncTrialBatch(prog *asm.Program, trials []BatchTrial, opts TrialOpts) ([
 				retired = append(retired, slot)
 				continue
 			}
+			stats.LaneSteps++
 			if _, err := L.StepShared(slot, idx); err != nil {
 				// Unreachable on-trace (the cursor fetched this very
 				// instruction), but mirror the scalar contract.
@@ -219,6 +220,7 @@ func UnSyncTrialBatch(prog *asm.Program, trials []BatchTrial, opts TrialOpts) ([
 		}
 		live = live[:k]
 
+		stats.CursorSteps++
 		if _, err := L.StepShared(cur, idx); err != nil {
 			return res, stats, fmt.Errorf("fault: batch cursor diverged from golden run: %w", err)
 		}
@@ -233,7 +235,7 @@ func UnSyncTrialBatch(prog *asm.Program, trials []BatchTrial, opts TrialOpts) ([
 	stats.Lockstep = uint64(nw) - stats.Retired
 
 	for _, slot := range retired {
-		o, err := finishLane(L, slot, g, opts, &chk)
+		o, err := finishLane(L, slot, g, opts, &chk, &stats.LaneSteps)
 		if err != nil {
 			return res, stats, err
 		}
@@ -246,13 +248,14 @@ func UnSyncTrialBatch(prog *asm.Program, trials []BatchTrial, opts TrialOpts) ([
 // kernel's watchdog contract: at most StepBudget instructions beyond
 // the golden count, a fetch fault is unrecoverable, a non-halting lane
 // hangs, and a halted lane classifies by its output against the golden
-// run.
-func finishLane(L *emu.Lanes, slot int, g *emu.Machine, opts TrialOpts, chk *interruptChecker) (Outcome, error) {
+// run. Every instruction it emulates counts into *steps.
+func finishLane(L *emu.Lanes, slot int, g *emu.Machine, opts TrialOpts, chk *interruptChecker, steps *uint64) (Outcome, error) {
 	bound := g.InstCount + opts.StepBudget
 	for !L.Halted[slot] && L.InstCount[slot] <= bound {
 		if err := chk.check(); err != nil {
 			return OutcomeBenign, err
 		}
+		*steps++
 		if _, err := L.Step(slot); err != nil {
 			return OutcomeUnrecoverable, nil
 		}

@@ -131,6 +131,7 @@ func ReunionTrialBatch(prog *asm.Program, trials []BatchTrial, fi int, opts Tria
 	e := reunionEngine{
 		L: emu.NewLanes(emu.Decode(prog), 1), log: tr.commits, golden: g,
 		fi: uint64(fi), budget: opts.StepBudget, chk: &interruptChecker{ctx: opts.Ctx},
+		steps: &stats.LaneSteps,
 	}
 	next := 0
 	for step := uint64(0); ; step++ {
@@ -157,6 +158,7 @@ func ReunionTrialBatch(prog *asm.Program, trials []BatchTrial, fi int, opts Tria
 		if err := e.chk.check(); err != nil {
 			return res, stats, err
 		}
+		stats.CursorSteps++
 		if _, err := e.L.Step(0); err != nil {
 			return res, stats, fmt.Errorf("fault: batch cursor diverged from golden run: %w", err)
 		}
@@ -179,7 +181,8 @@ func persistentReg(t BatchTrial) (int, bool) {
 }
 
 // reunionEngine is the lane engine's per-batch state: the cursor slot
-// the lanes run on, and the golden run core B replays.
+// the lanes run on, the golden run core B replays, and the counter
+// every emulated lane instruction adds to.
 type reunionEngine struct {
 	L      *emu.Lanes
 	log    []goldenCommit
@@ -187,6 +190,7 @@ type reunionEngine struct {
 	fi     uint64
 	budget uint64
 	chk    *interruptChecker
+	steps  *uint64
 }
 
 // reunionCheckpoint is core A's state at a verified window boundary;
@@ -252,6 +256,7 @@ func (e *reunionEngine) trial(t BatchTrial, cp reunionCheckpoint) (Outcome, bool
 		if err := e.chk.check(); err != nil {
 			return OutcomeBenign, true, err
 		}
+		*e.steps++
 		ca, err := L.Step(0)
 		if err != nil {
 			return OutcomeUnrecoverable, true, nil

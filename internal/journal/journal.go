@@ -153,6 +153,20 @@ type Decoder interface {
 // error naming the line. An error from fn stops the replay and is
 // returned with its line number.
 func Replay[T any](path string, fn func(T) error) error {
+	return ReplayDecode(path, func(raw []byte, v *T) error {
+		if d, ok := any(v).(Decoder); ok {
+			return d.DecodeJSON(raw)
+		}
+		return json.Unmarshal(raw, v)
+	}, fn)
+}
+
+// ReplayDecode is Replay with the caller's line decoder, for a reader
+// that decodes against context a zero T cannot carry. decode fills the
+// zero value v from one line; its errors are parse errors under
+// Replay's torn-tail policy, so it must accept and reject exactly the
+// lines json.Unmarshal does.
+func ReplayDecode[T any](path string, decode func(raw []byte, v *T) error, fn func(T) error) error {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
@@ -169,6 +183,7 @@ func Replay[T any](path string, fn func(T) error) error {
 		torn = atEOF && adv == len(data) && adv > 0 && data[adv-1] != '\n'
 		return adv, tok, err
 	})
+	var v, zero T // one v for the whole replay: decode's pointer escapes
 	for line := 1; sc.Scan(); line++ {
 		raw := sc.Bytes()
 		if torn {
@@ -177,14 +192,8 @@ func Replay[T any](path string, fn func(T) error) error {
 		if len(raw) == 0 {
 			continue
 		}
-		var v T
-		var err error
-		if d, ok := any(&v).(Decoder); ok {
-			err = d.DecodeJSON(raw)
-		} else {
-			err = json.Unmarshal(raw, &v)
-		}
-		if err != nil {
+		v = zero
+		if err := decode(raw, &v); err != nil {
 			if !sc.Scan() && sc.Err() == nil {
 				return nil // torn tail
 			}
