@@ -35,7 +35,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -720,18 +719,14 @@ func chunkIndices(idxs []int, width int) [][]int {
 const maxPassChunks = 16
 
 // passChunks sizes a worker pass from the trials pending in one
-// scheduling call: enough chunks per pass to share the cursor, but at
-// least four passes per worker, so a small campaign still spreads over
-// the whole pool and a cancel still finds passes left to skip. The
-// scalar path (Batch 1, or a wall-clock trial watchdog) has no cursor
-// to share and keeps one chunk per pass.
-func passChunks(pending int, spec Spec) int {
+// scheduling call and the pool's size: enough chunks per pass to share
+// the cursor, but at least four passes per worker, so a small campaign
+// still spreads over the whole pool and a cancel still finds passes
+// left to skip. The scalar path (Batch 1, or a wall-clock trial
+// watchdog) has no cursor to share and keeps one chunk per pass.
+func passChunks(pending, workers int, spec Spec) int {
 	if spec.scalar() {
 		return 1
-	}
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
 	}
 	per := spec.Batch * workers * 4
 	return min(max((pending+per-1)/per, 1), maxPassChunks)
@@ -743,13 +738,18 @@ func passChunks(pending int, spec Spec) int {
 // call (runTrialPass), then handed to sink chunk by chunk in index
 // order. The chunks are the ones a pass of one chunk would form, so
 // sink sees the same record groups at every pass width. It returns the
-// passes and, parallel to them, their records, with sweep's error.
+// passes and, parallel to them, their records, with sweep's error. When
+// sink fails, the records of the chunks after the failing one are
+// zeroed: a record is returned only if sink was handed it.
 func runPasses(ctx context.Context, prog *asm.Program, tr *fault.Trace, spec Spec, key, hash string, todo []int, sink func([]TrialRecord) error) ([][]int, [][]TrialRecord, error) {
-	passes := chunkIndices(todo, spec.Batch*passChunks(len(todo), spec))
-	out, err := sweep.MapContext(ctx, passes, spec.Workers, func(ctx context.Context, pass []int) ([]TrialRecord, error) {
+	workers := sweep.Workers(spec.Workers)
+	passes := chunkIndices(todo, spec.Batch*passChunks(len(todo), workers, spec))
+	out, err := sweep.MapContext(ctx, passes, workers, func(ctx context.Context, pass []int) ([]TrialRecord, error) {
 		recs, err := runTrialPass(ctx, prog, tr, spec, key, hash, pass)
 		for lo := 0; lo < len(recs); lo += spec.Batch {
-			if serr := sink(recs[lo:min(lo+spec.Batch, len(recs))]); serr != nil {
+			hi := min(lo+spec.Batch, len(recs))
+			if serr := sink(recs[lo:hi]); serr != nil {
+				clear(recs[hi:])
 				return recs, serr
 			}
 		}

@@ -645,7 +645,7 @@ func TestPassBitIdentity(t *testing.T) {
 		for _, scheme := range []string{SchemeUnSync, SchemeReunion} {
 			dir := t.TempDir()
 			base := Spec{Scheme: scheme, Trials: 4096, Seed: 5, MaxSteps: 20_000, Workers: 1}
-			if n := passChunks(base.Trials, base.withDefaults()); n < 2 {
+			if n := passChunks(base.Trials, base.Workers, base.withDefaults()); n < 2 {
 				t.Fatalf("%d trials form passes of %d chunk(s); the test needs packed passes", base.Trials, n)
 			}
 
@@ -701,6 +701,48 @@ func TestPassSharesCursor(t *testing.T) {
 	if 4*cursor >= lane {
 		t.Errorf("cursor replayed %d steps against %d lane steps (%.0f %%), want below 25 %%",
 			cursor, lane, 100*float64(cursor)/float64(lane))
+	}
+}
+
+// TestPassSinkErrorCountsOnlyDelivered fails every checkpoint write of
+// a packed campaign. A pass stops journaling at its first chunk, whose
+// records the Observer has already seen; the chunks after it reach
+// neither the journal nor the Observer, so the partial Result must not
+// count them either.
+func TestPassSinkErrorCountsOnlyDelivered(t *testing.T) {
+	const full = "/dev/full" // every write fails with ENOSPC
+	if f, err := os.OpenFile(full, os.O_WRONLY, 0); err != nil {
+		t.Skipf("no %s: %v", full, err)
+	} else {
+		f.Close()
+	}
+	prog := libraryProg(t, "checksum")
+	observed := make(map[int]int)
+	spec := Spec{
+		Scheme: SchemeUnSync, Trials: 4096, Seed: 3, MaxSteps: 20_000, Workers: 1,
+		Checkpoint: full,
+		Observer:   func(r TrialRecord) { observed[r.Index]++ },
+	}
+	chunks := passChunks(spec.Trials, spec.Workers, spec.withDefaults())
+	if chunks < 2 {
+		t.Fatalf("%d trials form passes of %d chunk(s); the test needs packed passes", spec.Trials, chunks)
+	}
+	res, err := Run(prog, spec)
+	if err == nil || !strings.Contains(err.Error(), "checkpoint chunk") {
+		t.Fatalf("Run over a failing checkpoint returned %v, want the chunk write error", err)
+	}
+	for i, n := range observed {
+		if n != 1 {
+			t.Fatalf("trial %d observed %d times", i, n)
+		}
+	}
+	// One chunk per pass reached the Observer before its write failed.
+	if want := spec.Trials / chunks; len(observed) != want {
+		t.Errorf("observer saw %d trials, want %d (the first chunk of each pass)", len(observed), want)
+	}
+	if res.Ran != len(observed) || res.Tally.Trials+res.Failed != len(observed) {
+		t.Errorf("partial Result counts Ran %d, %d tallied + %d failed; the observer saw %d trials",
+			res.Ran, res.Tally.Trials, res.Failed, len(observed))
 	}
 }
 

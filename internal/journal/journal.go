@@ -4,9 +4,9 @@
 // queue. It owns the three decisions those logs share:
 //
 //   - Line format: one JSON value per line, terminated by '\n'. Line
-//     json.Marshal's a value; a record type with a hand-written codec
-//     (campaign.TrialRecord) encodes its own lines byte-identically and
-//     decodes them through Decoder.
+//     json.Marshal's a value and Replay json.Unmarshal's it; a record
+//     type with a hand-written codec (campaign.TrialRecord) encodes its
+//     own lines byte-identically and decodes them through ReplayDecode.
 //   - Durability: each append is one write(2) of one or more whole
 //     lines, rolled back on a short write; the caller chooses per
 //     write whether to fsync, and the fsync runs outside the lock.
@@ -136,27 +136,15 @@ func (l *Log) Close() error {
 	return l.f.Close()
 }
 
-// Decoder is a record type with its own line decoder. Replay calls
-// DecodeJSON instead of json.Unmarshal when *T implements it, so
-// DecodeJSON must accept, reject and decode exactly what json.Unmarshal
-// does: the torn-tail policy rests on which lines fail to parse.
-type Decoder interface {
-	DecodeJSON(raw []byte) error
-}
-
-// Replay decodes the journal at path line by line into fn, through
-// *T's Decoder when it has one and json.Unmarshal otherwise. A missing
-// file is an empty journal and blank lines are skipped. A final line
-// without its '\n' is the torn write of a kill and is skipped unread:
-// Open will cut it off. An unparseable line ends the replay without
-// error only when it is the file's last line; anywhere else it is an
-// error naming the line. An error from fn stops the replay and is
-// returned with its line number.
+// Replay decodes the journal at path line by line into fn through
+// json.Unmarshal. A missing file is an empty journal and blank lines
+// are skipped. A final line without its '\n' is the torn write of a
+// kill and is skipped unread: Open will cut it off. An unparseable line
+// ends the replay without error only when it is the file's last line;
+// anywhere else it is an error naming the line. An error from fn stops
+// the replay and is returned with its line number.
 func Replay[T any](path string, fn func(T) error) error {
 	return ReplayDecode(path, func(raw []byte, v *T) error {
-		if d, ok := any(v).(Decoder); ok {
-			return d.DecodeJSON(raw)
-		}
 		return json.Unmarshal(raw, v)
 	}, fn)
 }

@@ -34,6 +34,16 @@ func Map[T, R any](items []T, workers int, f func(T) (R, error)) ([]R, error) {
 		func(_ context.Context, item T) (R, error) { return f(item) })
 }
 
+// Workers is the pool size Map and MapContext use for a workers
+// argument: workers itself, or NumCPU when workers <= 0. (A list shorter
+// than the pool runs on one goroutine per item.)
+func Workers(workers int) int {
+	if workers <= 0 {
+		return runtime.NumCPU()
+	}
+	return workers
+}
+
 // MapContext is Map under a context: cancelling ctx stops scheduling
 // new items within one item quantum (items already running finish —
 // or observe ctx themselves and return early). The partial results are
@@ -41,9 +51,7 @@ func Map[T, R any](items []T, workers int, f func(T) (R, error)) ([]R, error) {
 // ran, and the joined error carries ErrAborted and ctx's cancellation
 // cause alongside any per-item failures.
 func MapContext[T, R any](ctx context.Context, items []T, workers int, f func(context.Context, T) (R, error)) ([]R, error) {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
+	workers = Workers(workers)
 	if workers > len(items) {
 		workers = len(items)
 	}
