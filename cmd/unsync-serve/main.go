@@ -31,8 +31,9 @@
 //	GET  /api/v1/jobs/{id}   one job's state and result
 //	POST /api/v1/shards      (-worker only) execute one leased campaign
 //	                         trial range, streaming its records back as
-//	                         per-record-flushed JSONL; 409 on a params
-//	                         key mismatch, 429 under overload
+//	                         JSONL, one write and flush per journal
+//	                         chunk; 409 on a params key mismatch, 429
+//	                         under overload
 //	GET  /healthz            liveness
 //	GET  /readyz             readiness (503 while draining or when the
 //	                         runner circuit is open)

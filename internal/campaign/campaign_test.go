@@ -342,7 +342,7 @@ func TestNegativeFIRejected(t *testing.T) {
 		t.Errorf("Run: err = %v, want a fingerprint interval error", err)
 	}
 	emitted := 0
-	err := RunShard(context.Background(), prog, spec, 0, 4, nil, func(TrialRecord) error { emitted++; return nil })
+	err := RunShard(context.Background(), prog, spec, 0, 4, nil, func(recs []TrialRecord) error { emitted += len(recs); return nil })
 	if err == nil || !strings.Contains(err.Error(), "fingerprint interval -5") {
 		t.Errorf("RunShard: err = %v, want a fingerprint interval error", err)
 	}

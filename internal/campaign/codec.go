@@ -113,14 +113,14 @@ func plainString(s string) bool {
 // another field order, whitespace, escapes, non-ASCII bytes, numbers
 // out of range, a torn line — goes to json.Unmarshal.
 func (r *TrialRecord) DecodeJSON(raw []byte) error {
-	return r.decodeKeyed(raw, "", "")
+	return r.DecodeKeyed(raw, "", "")
 }
 
-// decodeKeyed is DecodeJSON for a reader that expects key and prog: a
-// canonical line whose Key and Prog bytes equal them gets those strings
-// instead of a copy, so decoding a matching record allocates nothing
-// for them.
-func (r *TrialRecord) decodeKeyed(raw []byte, key, prog string) error {
+// DecodeKeyed is DecodeJSON for a reader that expects key and prog (a
+// checkpoint resume, a fleet coordinator): a canonical line whose Key
+// and Prog bytes equal them gets those strings instead of a copy, so
+// decoding a matching record allocates nothing for them.
+func (r *TrialRecord) DecodeKeyed(raw []byte, key, prog string) error {
 	// Decode into a copy so a half-parsed line never leaks into r, and
 	// fields the line omits keep r's values, as with json.Unmarshal.
 	t := *r

@@ -147,7 +147,7 @@ func TestDecodeJSONMatchesUnmarshal(t *testing.T) {
 
 // checkDecode asserts DecodeJSON and json.Unmarshal agree on raw: the
 // same error text and the same value, both into a zero record and into
-// one whose fields the line may leave untouched. decodeKeyed, given the
+// one whose fields the line may leave untouched. DecodeKeyed, given the
 // decoded Key and Prog as the expected strings, must agree too.
 func checkDecode(t *testing.T, raw []byte) {
 	t.Helper()
@@ -165,9 +165,9 @@ func checkDecode(t *testing.T, raw []byte) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("DecodeJSON(%q):\n got %#v\nwant %#v", raw, got, want)
 		}
-		kerr := keyed.decodeKeyed(raw, want.Key, want.Prog)
+		kerr := keyed.DecodeKeyed(raw, want.Key, want.Prog)
 		if fmt.Sprint(kerr) != fmt.Sprint(werr) || !reflect.DeepEqual(keyed, want) {
-			t.Fatalf("decodeKeyed(%q): %v %#v, json.Unmarshal: %v %#v", raw, kerr, keyed, werr, want)
+			t.Fatalf("DecodeKeyed(%q): %v %#v, json.Unmarshal: %v %#v", raw, kerr, keyed, werr, want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/cmlasu/unsync/internal/asm"
@@ -10,27 +11,31 @@ import (
 )
 
 // RunShard executes the trial range [lo, hi) of a campaign, skipping
-// the indices in skip, and hands every classified TrialRecord to emit.
-// It is the worker half of the distributed campaign fabric: a shard is
-// just a contiguous slice of the deterministic trial sequence, so any
-// worker can run any range — sites derive from (Seed, index, attempt)
-// alone — and the records it emits are bit-identical to the ones a
-// single-node run would journal for the same indices.
+// the indices in skip, and hands the classified TrialRecords to emit
+// one journal chunk at a time. It is the worker half of the distributed
+// campaign fabric: a shard is just a contiguous slice of the
+// deterministic trial sequence, so any worker can run any range — sites
+// derive from (Seed, index, attempt) alone — and the records it emits
+// are bit-identical to the ones a single-node run would journal for the
+// same indices.
 //
-// emit is called exactly once per classified trial, serialized (never
-// concurrently), in trial-index order within each chunk but in
-// completion order across chunks — the same ordering contract as the
-// single-node checkpoint journal under multiple workers. An emit error
-// aborts the shard. Spec.Checkpoint, Resume, CIWidth and StopAfter are
-// ignored: journaling, dedupe and stopping policy belong to the
-// coordinator, not the shard.
+// emit receives each chunk the single-node path would journal in one
+// write (at most Spec.Batch records, in trial-index order), minus any
+// trial interrupted before classification; it is called serialized
+// (never concurrently), never with an empty chunk, and chunks arrive in
+// completion order — the same ordering contract as the single-node
+// checkpoint journal under multiple workers. emit may not keep the
+// slice after it returns. An emit error aborts the shard.
+// Spec.Checkpoint, Resume, CIWidth and StopAfter are ignored:
+// journaling, dedupe and stopping policy belong to the coordinator, not
+// the shard.
 //
 // The returned error is non-nil when the shard was cut short (context
 // cancellation, a panicking pass, or an emit failure): some records
 // may have been emitted, none were lost. Per-trial harness failures do
 // NOT abort the shard — they are emitted as records carrying Err,
 // exactly as the single-node path journals them.
-func RunShard(ctx context.Context, prog *asm.Program, spec Spec, lo, hi int, skip map[int]bool, emit func(TrialRecord) error) error {
+func RunShard(ctx context.Context, prog *asm.Program, spec Spec, lo, hi int, skip map[int]bool, emit func([]TrialRecord) error) error {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
 		return err
@@ -58,17 +63,15 @@ func RunShard(ctx context.Context, prog *asm.Program, spec Spec, lo, hi int, ski
 
 	var emitMu sync.Mutex
 	_, _, mapErr := runPasses(ctx, prog, tr, spec, key, hash, todo, func(crecs []TrialRecord) error {
+		// Drop trials interrupted before classification; RunShard
+		// discards the pass records, so compacting in place is safe.
+		crecs = slices.DeleteFunc(crecs, func(r TrialRecord) bool { return r.Key == "" })
+		if len(crecs) == 0 {
+			return nil
+		}
 		emitMu.Lock()
 		defer emitMu.Unlock()
-		for j := range crecs {
-			if crecs[j].Key == "" {
-				continue // interrupted before classification
-			}
-			if err := emit(crecs[j]); err != nil {
-				return err
-			}
-		}
-		return nil
+		return emit(crecs)
 	})
 	return mapErr
 }

@@ -134,19 +134,17 @@ func TestFleetMatchesSingleNode(t *testing.T) {
 	}
 }
 
-// killAfter aborts a worker's connection mid-stream after n writes on
+// killAfter aborts a worker's connection mid-stream after n lines on
 // the first shard request — the in-process stand-in for SIGKILLing the
 // worker: the coordinator sees a torn stream with no terminal line.
 // The returned channel closes once the kill has fired.
-func killAfter(n int64) (func(http.Handler) http.Handler, <-chan struct{}) {
+func killAfter(n int) (func(http.Handler) http.Handler, <-chan struct{}) {
 	var used atomic.Bool
 	fired := make(chan struct{})
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if strings.HasSuffix(r.URL.Path, "/shards") && used.CompareAndSwap(false, true) {
-				kw := &killWriter{ResponseWriter: w, fired: fired}
-				kw.remaining.Store(n)
-				next.ServeHTTP(kw, r)
+				next.ServeHTTP(&killWriter{ResponseWriter: w, remaining: n, fired: fired}, r)
 				return
 			}
 			next.ServeHTTP(w, r)
@@ -172,23 +170,37 @@ func holdShardsUntil(ch <-chan struct{}) func(http.Handler) http.Handler {
 	}
 }
 
+// killWriter passes the first remaining lines of a shard stream. The
+// write that carries the line past them is cut after its last allowed
+// line — a journal chunk torn mid-write — flushed, and aborted; so is
+// every later write. The handler writes from one goroutine at a time.
 type killWriter struct {
 	http.ResponseWriter
-	remaining atomic.Int64
+	remaining int
 	fired     chan struct{}
 }
 
 func (k *killWriter) Write(b []byte) (int, error) {
-	left := k.remaining.Add(-1)
-	if left == -1 {
-		close(k.fired) // the first refused write; later ones panic too
-	}
-	if left < 0 {
-		// net/http tears the TCP connection without a terminal chunk —
-		// exactly what a SIGKILL of the worker process produces.
+	if k.remaining < 0 {
 		panic(http.ErrAbortHandler)
 	}
-	return k.ResponseWriter.Write(b)
+	if lines := bytes.Count(b, []byte("\n")); lines <= k.remaining {
+		k.remaining -= lines
+		return k.ResponseWriter.Write(b)
+	}
+	cut := 0
+	for ; k.remaining > 0; k.remaining-- {
+		cut += bytes.IndexByte(b[cut:], '\n') + 1
+	}
+	k.remaining = -1
+	if _, err := k.ResponseWriter.Write(b[:cut]); err != nil {
+		return 0, err
+	}
+	k.Flush()
+	close(k.fired)
+	// net/http tears the TCP connection without a terminal chunk —
+	// exactly what a SIGKILL of the worker process produces.
+	panic(http.ErrAbortHandler)
 }
 
 func (k *killWriter) Flush() {

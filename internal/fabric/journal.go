@@ -16,11 +16,11 @@ import (
 //
 // Durability contract: lease-protocol events (campaign, lease, split,
 // fail, done, complete) are fsync'd as written — they are the state a
-// restarted coordinator resumes from. Each trial line (built by
-// appendTrialEvent, not json.Marshal) is one write to the OS as its
-// record arrives and is fsync'd no later than the next protocol event,
-// so a shard's "done" event on disk implies every one of its trials is
-// too.
+// restarted coordinator resumes from. Trial lines (built by
+// appendTrialEvent, not json.Marshal) are not fsync'd as written: the
+// new records of each received run go to the OS in one write, and are
+// fsync'd no later than the next protocol event, so a shard's "done"
+// event on disk implies every one of its trials is too.
 type journalEvent struct {
 	Event string `json:"event"`
 
@@ -97,7 +97,7 @@ func replayJournal(path, key string) (replayState, error) {
 			st.done[ev.Rec.Index] = ev.Rec
 		case evLease, evSplit, evFail, evDone, evComplete:
 			// Lease-protocol history: informative for the artifact log,
-			// not needed for resume — the done map alone decides what is
+			// not needed for resume — the done set alone decides what is
 			// left to lease.
 		default:
 			return fmt.Errorf("unknown event %q", ev.Event)

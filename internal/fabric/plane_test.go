@@ -177,7 +177,7 @@ func TestFleetPlaneSurvivesCoordinatorRestart(t *testing.T) {
 	}
 }
 
-// Coordinator.record is the fleet's only duplicate check. A
+// Coordinator.ingest is the fleet's only duplicate check. A
 // bit-identical repeat (steal overlap, re-lease race) is counted and
 // kept away from the plane and the journal; a repeat with a differing
 // payload is a determinism violation that aborts the campaign.
@@ -200,10 +200,14 @@ func TestRecordIsTheOnlyDuplicateCheck(t *testing.T) {
 		AttemptErrs: []string{"attempt 1: boom", "attempt 2: boom"}}
 	repeat := first
 	repeat.AttemptErrs = append([]string(nil), first.AttemptErrs...)
-	if err := c.record(&first); err != nil {
+	ingest := func(rec campaign.TrialRecord) error {
+		_, err := c.ingest([]campaign.TrialRecord{rec}, nil)
+		return err
+	}
+	if err := ingest(first); err != nil {
 		t.Fatalf("first arrival: %v", err)
 	}
-	if err := c.record(&repeat); err != nil {
+	if err := ingest(repeat); err != nil {
 		t.Fatalf("bit-identical repeat: %v", err)
 	}
 	if got := c.Snapshot().Duplicates; got != 1 {
@@ -219,7 +223,7 @@ func TestRecordIsTheOnlyDuplicateCheck(t *testing.T) {
 	chain := repeat
 	chain.AttemptErrs = []string{"attempt 1: boom", "attempt 2: a different cause"}
 	for name, differing := range map[string]campaign.TrialRecord{"outcome": outcome, "attempt chain": chain} {
-		if err := c.record(&differing); !errors.Is(err, errFatal) {
+		if err := ingest(differing); !errors.Is(err, errFatal) {
 			t.Fatalf("repeat with a differing %s: %v, want an error wrapping errFatal", name, err)
 		}
 	}

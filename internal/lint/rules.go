@@ -72,9 +72,9 @@ var forbiddenCalls = []forbiddenCall{
 		// Each time.After allocates a timer the runtime holds until it
 		// fires, so a select-with-After in a streaming or heartbeat loop
 		// strands one timer per iteration — under churn, an unbounded
-		// pile. The fix is one hoisted time.NewTimer with the
-		// Stop/drain/Reset discipline (internal/fabric's lease
-		// heartbeat).
+		// pile. The fix is one time.NewTimer stopped on every exit
+		// (resilience.Retry's backoff wait), hoisted with the
+		// Stop/drain/Reset discipline when the loop reuses it.
 		rule:  "timer-leak",
 		pkgs:  []string{"time"},
 		names: []string{"After"},

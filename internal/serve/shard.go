@@ -61,28 +61,40 @@ var recLinePrefix = []byte(`{"rec":{"key":"`)
 // DecodeShardLine decodes one shard-stream line (without its '\n') as
 // json.Unmarshal would into a zero ShardLine: the same value and the
 // same error. A record line decodes its record through
-// TrialRecord.DecodeJSON; any other line (EOF, Err, or a record line
-// that is not exactly {"rec":<record>}) is decoded whole by
-// json.Unmarshal.
+// DecodeRecordLine; any other line (EOF, Err, or a record line that is
+// not exactly {"rec":<record>}) is decoded whole by json.Unmarshal.
 func DecodeShardLine(raw []byte) (ShardLine, error) {
-	if bytes.HasPrefix(raw, recLinePrefix) && raw[len(raw)-1] == '}' {
-		// The inner text starts with '{', so once it decodes as a
-		// record the whole line is that one-key object.
-		var rec campaign.TrialRecord
-		if rec.DecodeJSON(raw[len(`{"rec":`):len(raw)-1]) == nil {
-			return ShardLine{Rec: &rec}, nil
-		}
+	var rec campaign.TrialRecord
+	if DecodeRecordLine(raw, &rec, "", "") {
+		return ShardLine{Rec: &rec}, nil
 	}
 	var l ShardLine
 	err := json.Unmarshal(raw, &l)
 	return l, err
 }
 
+// DecodeRecordLine decodes a shard-stream line (without its '\n') that
+// is exactly {"rec":<record>} into rec, overwriting it whole, and
+// reports true; the record is decoded by TrialRecord.DecodeKeyed, so a
+// reader that knows its campaign's key and program hash gets those
+// strings back instead of copies. For any other line it reports false
+// and rec's contents are unspecified: decode it with DecodeShardLine.
+func DecodeRecordLine(raw []byte, rec *campaign.TrialRecord, key, prog string) bool {
+	if !bytes.HasPrefix(raw, recLinePrefix) || raw[len(raw)-1] != '}' {
+		return false
+	}
+	// The inner text starts with '{', so once it decodes as a record
+	// the whole line is that one-key object.
+	*rec = campaign.TrialRecord{}
+	return rec.DecodeKeyed(raw[len(`{"rec":`):len(raw)-1], key, prog) == nil
+}
+
 // handleShards serves POST /api/v1/shards: execute one leased trial
-// range and stream its records back as JSONL, flushed per record so
-// the stream doubles as the lease heartbeat — every line resets the
-// coordinator's deadline, and a SIGKILLed worker tears the connection
-// within one TCP timeout instead of silently holding the lease.
+// range and stream its records back as JSONL, one write and one flush
+// per journal chunk (campaign.RunShard's emit unit), so the stream
+// doubles as the lease heartbeat — every chunk resets the coordinator's
+// deadline, and a SIGKILLed worker tears the connection within one TCP
+// timeout instead of silently holding the lease.
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	if !s.cfg.EnableShards {
 		httpError(w, http.StatusNotFound, "shard execution disabled; run this node with -worker")
@@ -157,18 +169,21 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	sent := 0
-	var line []byte // RunShard serializes emit, so one buffer serves every record
-	emit := func(rec campaign.TrialRecord) error {
-		line = AppendRecordLine(line[:0], &rec)
-		if _, err := w.Write(line); err != nil {
+	var buf []byte // RunShard serializes emit, so one buffer serves every chunk
+	emit := func(recs []campaign.TrialRecord) error {
+		buf = buf[:0]
+		for i := range recs {
+			buf = AppendRecordLine(buf, &recs[i])
+		}
+		if _, err := w.Write(buf); err != nil {
 			return err // client gone; stop the shard
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
-		sent++
+		sent += len(recs)
 		s.mu.Lock()
-		s.shardTrials++
+		s.shardTrials += uint64(len(recs))
 		s.mu.Unlock()
 		return nil
 	}

@@ -3,10 +3,13 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -213,5 +216,77 @@ func TestShardLineCodecMatchesJSON(t *testing.T) {
 		if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
 			t.Fatalf("DecodeShardLine(%s) = %+v, %v; json.Unmarshal gives %+v, %v", raw, got, gerr, want, werr)
 		}
+	}
+}
+
+// countingWriter records a handler's response and counts its Write and
+// Flush calls.
+type countingWriter struct {
+	*httptest.ResponseRecorder
+	writes, flushes int
+}
+
+func (w *countingWriter) Write(b []byte) (int, error) {
+	w.writes++
+	return w.ResponseRecorder.Write(b)
+}
+
+func (w *countingWriter) Flush() {
+	w.flushes++
+	w.ResponseRecorder.Flush()
+}
+
+// A shard stream is written one journal chunk at a time: at most one
+// Write and one Flush per chunk plus the terminal line's, and the body
+// is the per-record AppendRecordLine bytes of the single-node
+// checkpoint's records, then {"eof":true,"sent":n}.
+func TestShardWritesOncePerChunk(t *testing.T) {
+	const n = 4096
+	s, _ := newTestServer(t, Config{EnableShards: true})
+	params := *campaignReq(n).Campaign
+	params.Workers = 1 // chunks in trial-index order, as in the checkpoint
+
+	prog, err := params.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := params.Spec()
+	spec.Checkpoint = filepath.Join(t.TempDir(), "ref.jsonl")
+	if _, err := campaign.RunContext(context.Background(), prog, spec); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := os.ReadFile(spec.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for _, line := range bytes.SplitAfter(ref, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var rec campaign.TrialRecord
+		if err := rec.DecodeJSON(line[:len(line)-1]); err != nil {
+			t.Fatal(err)
+		}
+		want = AppendRecordLine(want, &rec)
+	}
+	want = append(want, fmt.Sprintf(`{"eof":true,"sent":%d}`+"\n", n)...)
+
+	body, err := json.Marshal(ShardRequest{Campaign: params, Lo: 0, Hi: n, Key: shardKey(t, params)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &countingWriter{ResponseRecorder: httptest.NewRecorder()}
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/shards", bytes.NewReader(body)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d, want 200: %s", w.Code, w.Body.Bytes())
+	}
+	limit := (n+campaign.DefaultBatch-1)/campaign.DefaultBatch + 1
+	if w.writes > limit || w.flushes > limit {
+		t.Fatalf("%d writes and %d flushes for %d trials, want at most %d each (one per chunk, one for the terminal line)",
+			w.writes, w.flushes, n, limit)
+	}
+	if !bytes.Equal(w.Body.Bytes(), want) {
+		t.Fatalf("shard body (%d bytes) differs from the per-record lines of the single-node checkpoint (%d bytes)", w.Body.Len(), len(want))
 	}
 }
