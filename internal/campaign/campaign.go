@@ -39,7 +39,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/cmlasu/unsync/internal/asm"
 	"github.com/cmlasu/unsync/internal/emu"
@@ -84,33 +83,16 @@ type Spec struct {
 	// stopping is evaluated at fixed round boundaries so the stopping
 	// point does not depend on the worker schedule.
 	CIWidth float64
-	// Z is the Wilson confidence multiplier (default 1.96 ≈ 95%).
-	Z float64
 	// Checkpoint is the JSONL journal path ("" disables journaling).
 	Checkpoint string
 	// Resume loads completed trials from Checkpoint instead of
 	// re-running them.
 	Resume bool
-	// Retries is the number of retry-with-reseed attempts after a
-	// harness (non-outcome) trial error (default 1; negative disables).
-	Retries int
 	// StopAfter, when positive, aborts the campaign after that many
 	// newly executed trials, returning ErrInterrupted with the partial
 	// Result — a deterministic stand-in for a mid-campaign kill, used
 	// by tests and the CI kill+resume exercise.
 	StopAfter int
-	// TrialTimeout, when positive, is a wall-clock watchdog on each
-	// trial attempt: the step budget bounds emulated work, but on a
-	// slow or overloaded host even a budgeted trial can outlive any
-	// useful deadline, so a trial whose attempt exceeds this duration
-	// is killed and classified OutcomeHang — the same bucket as a
-	// step-budget livelock. 0 disables the wall clock and keeps trial
-	// outcomes strictly deterministic; with a timeout set, an outcome
-	// can depend on host speed, so resumed runs must use the same
-	// timeout (it is part of the journal key). A positive TrialTimeout
-	// also forces the scalar trial path: a per-lane wall clock cannot
-	// be enforced inside a shared batch kernel.
-	TrialTimeout time.Duration
 	// Batch is the journal chunk width: the checkpoint takes one write
 	// (and a shard one serialized emit run) per chunk of up to Batch
 	// trials, in index order. Workers claim passes of whole chunks and
@@ -142,6 +124,11 @@ type Spec struct {
 // shared by a pass of several chunks (passChunks), not by one chunk,
 // so the width need not grow to amortize it.
 const DefaultBatch = 32
+
+// Z is the Wilson confidence multiplier (1.96 ≈ 95%) of every campaign
+// interval: the Result's SDC bounds, early stopping, and the streaming
+// plane's convergence tracker.
+const Z = 1.96
 
 // BatchStats aggregates fault.BatchStats across a campaign's worker
 // batches. Safe for concurrent use; read it after the campaign
@@ -232,15 +219,6 @@ func (s Spec) withDefaults() Spec {
 	if s.FI == 0 {
 		s.FI = 10
 	}
-	if s.Z == 0 {
-		s.Z = 1.96
-	}
-	if s.Retries == 0 {
-		s.Retries = 1
-	}
-	if s.Retries < 0 {
-		s.Retries = 0
-	}
 	if s.Batch == 0 {
 		s.Batch = DefaultBatch
 	}
@@ -316,8 +294,8 @@ var ErrInterrupted = errors.New("campaign: interrupted")
 
 // ErrKeyMismatch reports a resume pointed at a checkpoint journal whose
 // records were written under a different params key: the journaled
-// trials belong to a different program, scheme, seed, space set, budget
-// or trial timeout, so none of them can satisfy this campaign.
+// trials belong to a different program, scheme, seed, space set or
+// budget, so none of them can satisfy this campaign.
 var ErrKeyMismatch = errors.New("campaign: checkpoint params key mismatch")
 
 // describeForeign summarizes the foreign keys found in a mismatched
@@ -406,7 +384,7 @@ func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, erro
 				// Starting fresh here would silently discard the work the
 				// user pointed -resume at: the flags (or the program) no
 				// longer match the journaled params key. Fail loudly.
-				return res, fmt.Errorf("%w: journal %s holds %s but none for params key %s — the program, scheme, seed, spaces, budgets or trial timeout differ from the journaled run (re-run with the original flags, or drop -resume to start fresh against a new journal)",
+				return res, fmt.Errorf("%w: journal %s holds %s but none for params key %s — the program, scheme, seed, spaces or budgets differ from the journaled run (re-run with the original flags, or drop -resume to start fresh against a new journal)",
 					ErrKeyMismatch, spec.Checkpoint, describeForeign(foreign), key)
 			}
 		}
@@ -498,7 +476,7 @@ func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, erro
 		res.Ran = hi
 		if spec.CIWidth > 0 {
 			k, n := sdcOf(recs[:hi])
-			if lo95, hi95 := stats.Wilson(k, n, spec.Z); n > 0 && hi95-lo95 < spec.CIWidth {
+			if lo95, hi95 := stats.Wilson(k, n, Z); n > 0 && hi95-lo95 < spec.CIWidth {
 				res.EarlyStop = true
 				break
 			}
@@ -600,9 +578,9 @@ func (r *Result) finish(recs []*TrialRecord, ran int, spec Spec) error {
 	}
 	if n := uint64(r.Tally.Trials); n > 0 {
 		r.SDCRate = float64(r.Tally.SDC) / float64(n)
-		r.SDCLo, r.SDCHi = stats.Wilson(uint64(r.Tally.SDC), n, spec.Z)
+		r.SDCLo, r.SDCHi = stats.Wilson(uint64(r.Tally.SDC), n, Z)
 	} else {
-		r.SDCLo, r.SDCHi = stats.Wilson(0, 0, spec.Z)
+		r.SDCLo, r.SDCHi = stats.Wilson(0, 0, Z)
 	}
 	r.Events = events.Counts{
 		events.CampaignTrials:        uint64(r.Tally.Trials),
@@ -629,9 +607,9 @@ func sdcOf(recs []*TrialRecord) (k, n uint64) {
 	return k, n
 }
 
-// errTrialTimeout is the cancellation cause of a per-trial wall-clock
-// expiry, distinguishable from the campaign's own cancellation.
-var errTrialTimeout = errors.New("campaign: trial wall-clock timeout")
+// attempts is how many times runTrial tries one trial: the first try
+// plus one retry with a reseeded site after a harness error.
+const attempts = 2
 
 // executeTrial is the trial executor; a package variable so tests can
 // inject harness failures (execute itself cannot fail for derived
@@ -643,25 +621,16 @@ var executeTrial = execute
 // on repeated harness failure the record carries the last error plus
 // the full per-attempt chain (AttemptErrs: each attempt's reseeded
 // site and its cause, so no earlier failure is lost to the retry
-// loop) — and a wall-clock watchdog expiry (Spec.TrialTimeout) is
-// classified OutcomeHang like a step-budget livelock. The returned
-// error is non-nil only when ctx was cancelled mid-trial: the trial has
-// no outcome and must not be journaled or tallied.
+// loop). The returned error is non-nil only when ctx was cancelled
+// mid-trial: the trial has no outcome and must not be journaled or
+// tallied.
 func runTrial(ctx context.Context, prog *asm.Program, g *emu.Machine, spec Spec, key, hash string, idx int) (TrialRecord, error) {
 	rec := TrialRecord{Key: key, Prog: hash, Seed: spec.Seed, Index: idx}
 	var lastErr error
 	var chain []string
-	for attempt := 0; attempt <= spec.Retries; attempt++ {
+	for attempt := range attempts {
 		step, f := deriveSite(spec, g.InstCount, prog, idx, attempt)
-		tctx := ctx
-		var cancel context.CancelFunc
-		if spec.TrialTimeout > 0 {
-			tctx, cancel = context.WithTimeoutCause(ctx, spec.TrialTimeout, errTrialTimeout)
-		}
-		o, detected, err := executeTrial(tctx, prog, g, spec, step, f)
-		if cancel != nil {
-			cancel()
-		}
+		o, detected, err := executeTrial(ctx, prog, g, spec, step, f)
 		rec.Space = f.Space.String()
 		rec.Reg = f.Index
 		rec.Bit = f.Bit
@@ -671,13 +640,6 @@ func runTrial(ctx context.Context, prog *asm.Program, g *emu.Machine, spec Spec,
 		rec.Attempts = attempt + 1
 		if err == nil {
 			rec.Outcome = o.String()
-			return rec, nil
-		}
-		if errors.Is(err, errTrialTimeout) {
-			// The wall-clock watchdog fired while the campaign itself is
-			// still live: the trial is a hang, exactly as if the step
-			// budget had been exhausted.
-			rec.Outcome = fault.OutcomeHang.String()
 			return rec, nil
 		}
 		if cerr := context.Cause(ctx); cerr != nil {
@@ -722,10 +684,10 @@ const maxPassChunks = 16
 // scheduling call and the pool's size: enough chunks per pass to share
 // the cursor, but at least four passes per worker, so a small campaign
 // still spreads over the whole pool and a cancel still finds passes
-// left to skip. The scalar path (Batch 1, or a wall-clock trial
-// watchdog) has no cursor to share and keeps one chunk per pass.
+// left to skip. The scalar path (Batch 1) has no cursor to share and
+// keeps one chunk per pass.
 func passChunks(pending, workers int, spec Spec) int {
-	if spec.scalar() {
+	if spec.Batch <= 1 {
 		return 1
 	}
 	per := spec.Batch * workers * 4
@@ -761,16 +723,15 @@ func runPasses(ctx context.Context, prog *asm.Program, tr *fault.Trace, spec Spe
 // runTrialPass executes a pass of trials through one call of the
 // batched lane kernels, stamping each record with the params key and
 // the caller's program hash. The scalar runTrial path handles a pass of
-// one trial, Batch 1, wall-clock watchdog campaigns (a per-lane
-// deadline cannot be enforced inside a shared kernel), and any lane the
-// kernel hands back with a harness error — preserving the scalar
-// retry-with-reseed contract exactly. The returned slice parallels
+// one trial (which Batch 1 always gives), and any lane the kernel hands
+// back with a harness error — preserving the scalar retry-with-reseed
+// contract exactly. The returned slice parallels
 // pass; a zero record (empty Key) means the trial was interrupted
 // before classification and must not be journaled or tallied.
 func runTrialPass(ctx context.Context, prog *asm.Program, tr *fault.Trace, spec Spec, key, hash string, pass []int) ([]TrialRecord, error) {
 	g := tr.Golden
 	recs := make([]TrialRecord, len(pass))
-	if len(pass) == 1 || spec.scalar() {
+	if len(pass) == 1 {
 		for j, i := range pass {
 			rec, err := runTrial(ctx, prog, g, spec, key, hash, i)
 			if err != nil {
@@ -840,11 +801,6 @@ func runTrialPass(ctx context.Context, prog *asm.Program, tr *fault.Trace, spec 
 	}
 	return recs, kerr
 }
-
-// scalar reports whether every trial takes the scalar runTrial path:
-// Batch 1, or a wall-clock trial watchdog, which a shared kernel cannot
-// enforce per lane.
-func (s Spec) scalar() bool { return s.Batch <= 1 || s.TrialTimeout > 0 }
 
 // resolve is the coverage policy: it maps a fault space to whether the
 // scheme detects the flip, whether a Reunion flip is in flight
@@ -961,9 +917,9 @@ func ProgHash(p *asm.Program) string {
 // Trials, CIWidth, Workers and Batch are deliberately excluded: they
 // select which trials run and how they are scheduled, not what any one
 // trial computes (batch kernels classify bit-identically to the scalar
-// path), so a journal remains valid across them. TrialTimeout IS included: with a wall
-// clock in play a trial's outcome can depend on host speed, so a
-// resume must not mix records from runs with different deadlines.
+// path), so a journal remains valid across them. The literal 0 after
+// FI fills the slot of a retired per-trial wall-clock timeout, so keys
+// (and every journal written under them) stay what they were.
 //
 // Exported because the distributed fabric (internal/fabric) uses the
 // key as the lease-protocol contract: a worker recomputes it from the
@@ -976,7 +932,7 @@ func ProgHash(p *asm.Program) string {
 func (s Spec) Key(progHash string) string {
 	s = s.withDefaults()
 	h := sha256.New()
-	fmt.Fprintf(h, "%s|%s|%d|%d|%d|%d|%d|", progHash, s.Scheme, s.Seed, s.MaxSteps, s.StepBudget, s.FI, int64(s.TrialTimeout))
+	fmt.Fprintf(h, "%s|%s|%d|%d|%d|%d|0|", progHash, s.Scheme, s.Seed, s.MaxSteps, s.StepBudget, s.FI)
 	for _, sp := range s.Spaces {
 		fmt.Fprintf(h, "%d,", sp)
 	}

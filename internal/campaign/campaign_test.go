@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/cmlasu/unsync/internal/asm"
 	"github.com/cmlasu/unsync/internal/fault"
@@ -382,22 +381,6 @@ func TestProgHashDistinguishes(t *testing.T) {
 	}
 }
 
-// longSpinProgram runs well past the per-trial context-poll quantum
-// (4096 emulated steps) before halting, so a wall-clock trial timeout
-// is guaranteed to be observed mid-trial. Every library program halts
-// earlier than the quantum, which makes them useless for this test.
-const longSpinProgram = `
-	li r1, 4000
-	li r2, 0
-spin:
-	addi r2, r2, 1
-	blt r2, r1, spin
-	mv r4, r2
-	li r2, 1
-	syscall
-	halt
-`
-
 // TestRunContextCancelResumesBitIdentical is the cancellation twin of
 // TestKillResumeBitMatch: instead of StopAfter simulating a kill, a
 // real context cancellation lands mid-campaign. The run must return
@@ -521,42 +504,20 @@ func TestRunContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestTrialTimeoutClassifiesHang: with a wall-clock trial watchdog
-// that has already expired, every trial of a program running past the
-// context-poll quantum must be classified OutcomeHang — the same
-// bucket as a step-budget livelock — while the campaign itself
-// completes normally (no ErrInterrupted).
-func TestTrialTimeoutClassifiesHang(t *testing.T) {
-	prog := mustProg(t, longSpinProgram)
-	spec := Spec{
-		Scheme:       SchemeUnSync,
-		Trials:       8,
-		Seed:         3,
-		MaxSteps:     100_000,
-		Workers:      2,
-		TrialTimeout: time.Nanosecond,
-	}
-	res, err := Run(prog, spec)
-	if err != nil {
-		t.Fatalf("campaign: %v", err)
-	}
-	if res.Ran != spec.Trials {
-		t.Fatalf("ran %d trials, want %d", res.Ran, spec.Trials)
-	}
-	if res.Tally.Hangs != spec.Trials {
-		t.Errorf("tallied %d hangs, want all %d trials (tally %+v)", res.Tally.Hangs, spec.Trials, res.Tally)
-	}
-}
-
-// TestSpecKeyIncludesTrialTimeout: the watchdog changes what a trial
-// can observe (a hang classification depends on wall time), so two
-// specs differing only in TrialTimeout must not share a journal key.
-func TestSpecKeyIncludesTrialTimeout(t *testing.T) {
-	a := Spec{Scheme: SchemeUnSync, Trials: 10, Seed: 1, MaxSteps: 1000}
-	b := a
-	b.TrialTimeout = time.Second
-	if a.Key("prog") == b.Key("prog") {
-		t.Error("specs differing only in TrialTimeout share a journal key")
+// TestSpecKeyGolden pins the journal key bytes: every checkpoint,
+// coordinator journal and benchmark reference digest was written under
+// these keys, so a change to what Key hashes must show here first.
+func TestSpecKeyGolden(t *testing.T) {
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Trials: 10}, "bf3783fc0ac47206"},
+		{Spec{Scheme: SchemeReunion, Seed: 7, FI: 5}, "b12600ec52dcb6a0"},
+	} {
+		if got := tc.spec.Key("0123456789abcdef"); got != tc.want {
+			t.Errorf("%+v: key %s, want %s", tc.spec, got, tc.want)
+		}
 	}
 }
 

@@ -135,7 +135,6 @@ func TestRetryExhaustedPreservesAttemptChain(t *testing.T) {
 		MaxSteps: 20_000,
 		Workers:  1,
 		Batch:    1, // scalar path: the retry loop under test
-		Retries:  2,
 		Observer: c.observe,
 	}
 	res, err := Run(prog, spec)
@@ -155,11 +154,11 @@ func TestRetryExhaustedPreservesAttemptChain(t *testing.T) {
 		if r.Err == "" {
 			t.Fatalf("trial %d lost its terminal error", r.Index)
 		}
-		if r.Attempts != 3 {
-			t.Fatalf("trial %d ran %d attempts, want Retries+1 = 3", r.Index, r.Attempts)
+		if r.Attempts != attempts {
+			t.Fatalf("trial %d ran %d attempts, want %d", r.Index, r.Attempts, attempts)
 		}
-		if len(r.AttemptErrs) != 3 {
-			t.Fatalf("trial %d chain holds %d attempts, want 3: %v", r.Index, len(r.AttemptErrs), r.AttemptErrs)
+		if len(r.AttemptErrs) != attempts {
+			t.Fatalf("trial %d chain holds %d attempts, want %d: %v", r.Index, len(r.AttemptErrs), attempts, r.AttemptErrs)
 		}
 		for i, line := range r.AttemptErrs {
 			if !strings.Contains(line, fmt.Sprintf("attempt %d ", i+1)) {
@@ -171,8 +170,8 @@ func TestRetryExhaustedPreservesAttemptChain(t *testing.T) {
 		}
 		// Reseeding must actually vary the site across attempts — the
 		// chain is only diagnostic if each line names a different draw.
-		if r.AttemptErrs[0] == r.AttemptErrs[1] && r.AttemptErrs[1] == r.AttemptErrs[2] {
-			t.Fatalf("trial %d: every attempt drew the identical site: %v", r.Index, r.AttemptErrs)
+		if r.AttemptErrs[0] == r.AttemptErrs[1] {
+			t.Fatalf("trial %d: the retry drew the identical site: %v", r.Index, r.AttemptErrs)
 		}
 	}
 
@@ -218,8 +217,8 @@ func TestAttemptChainSurvivesJournal(t *testing.T) {
 		if r.Key == "" {
 			t.Fatalf("journal lost trial %d", i)
 		}
-		if len(r.AttemptErrs) != 2 { // default Retries=1 → 2 attempts
-			t.Fatalf("journaled trial %d chain: %v, want 2 attempts", i, r.AttemptErrs)
+		if len(r.AttemptErrs) != attempts {
+			t.Fatalf("journaled trial %d chain: %v, want %d attempts", i, r.AttemptErrs, attempts)
 		}
 	}
 }

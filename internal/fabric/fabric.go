@@ -87,10 +87,6 @@ type Config struct {
 	// LeaseTimeout is the heartbeat deadline: the longest silence on a
 	// shard stream before the lease is declared dead (default 60s).
 	LeaseTimeout time.Duration
-	// Retry is the re-lease backoff schedule after a worker failure.
-	Retry resilience.Backoff
-	// Breaker configures the per-worker circuit breaker.
-	Breaker resilience.BreakerConfig
 	// Client issues the shard requests (default: a client whose
 	// transport bounds the response-header wait by LeaseTimeout).
 	Client *http.Client
@@ -365,11 +361,15 @@ func (c *Coordinator) Run(ctx context.Context) (campaign.Result, error) {
 	return campaign.Result{}, errors.Join(campaign.ErrInterrupted, cause)
 }
 
+// releaseBackoff is the re-lease backoff after a worker failure: the
+// resilience defaults (100 ms doubling to 10 s, full jitter).
+var releaseBackoff resilience.Backoff
+
 // workerLoop is one worker node's lease pump: pull a grant, execute the
 // lease, absorb failures through the breaker and backoff, repeat until
 // the campaign completes or the run context dies.
 func (c *Coordinator) workerLoop(ctx context.Context, url string) {
-	br := resilience.NewBreaker(c.cfg.Breaker)
+	br := resilience.NewBreaker(resilience.BreakerConfig{})
 	fails := 0
 	for ctx.Err() == nil {
 		done, err := br.Allow()
@@ -377,7 +377,7 @@ func (c *Coordinator) workerLoop(ctx context.Context, url string) {
 			// Circuit open: this node keeps failing. Sit out a backoff
 			// slice without holding any lease; other workers own the
 			// trial space meanwhile.
-			if !sleepCtx(ctx, c.cfg.Retry.Sleep(fails)) {
+			if !sleepCtx(ctx, releaseBackoff.Sleep(fails)) {
 				return
 			}
 			continue
@@ -411,7 +411,7 @@ func (c *Coordinator) workerLoop(ctx context.Context, url string) {
 			done(err)
 			c.repend(g, url, err)
 			fails++
-			if !sleepCtx(ctx, c.cfg.Retry.Sleep(fails-1)) {
+			if !sleepCtx(ctx, releaseBackoff.Sleep(fails-1)) {
 				return
 			}
 		}

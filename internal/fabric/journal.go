@@ -14,13 +14,15 @@ import (
 // a journal.Log: a coordinator killed mid-append loses at most its
 // final line.
 //
-// Durability contract: lease-protocol events (campaign, lease, split,
-// fail, done, complete) are fsync'd as written — they are the state a
-// restarted coordinator resumes from. Trial lines (built by
-// appendTrialEvent, not json.Marshal) are not fsync'd as written: the
-// new records of each received run go to the OS in one write, and are
-// fsync'd no later than the next protocol event, so a shard's "done"
-// event on disk implies every one of its trials is too.
+// Resume reads only the campaign header and the trial lines
+// (replayJournal); the other lease-protocol events (lease, split, fail,
+// done, complete) are history for the artifact log. Durability: every
+// protocol event is fsync'd as written, and trial lines (built by
+// appendTrialEvent, not json.Marshal) are not — the new records of
+// each received run go to the OS in one write. Each fsync therefore
+// makes durable every trial line written before its event: the header
+// is on disk before any lease is granted, and a shard's "done" event
+// on disk implies every one of its trials is too.
 type journalEvent struct {
 	Event string `json:"event"`
 
@@ -82,7 +84,7 @@ func replayJournal(path, key string) (replayState, error) {
 		switch ev.Event {
 		case evCampaign:
 			if ev.Key != key {
-				return fmt.Errorf("%w: journal %s was written for params key %s, this campaign derives %s — the program, scheme, seed, spaces, budgets or trial timeout changed under -resume",
+				return fmt.Errorf("%w: journal %s was written for params key %s, this campaign derives %s — the program, scheme, seed, spaces or budgets changed under -resume",
 					campaign.ErrKeyMismatch, path, ev.Key, key)
 			}
 			st.header = &ev

@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"time"
 
 	"github.com/cmlasu/unsync/internal/asm"
 	"github.com/cmlasu/unsync/internal/campaign"
@@ -64,9 +63,6 @@ type CampaignParams struct {
 	StepBudget uint64   `json:"step_budget,omitempty"`
 	Workers    int      `json:"workers,omitempty"`
 	CIWidth    float64  `json:"ci_width,omitempty"`
-	// TrialTimeoutMS is the per-trial wall-clock watchdog in
-	// milliseconds (campaign.Spec.TrialTimeout).
-	TrialTimeoutMS int64 `json:"trial_timeout_ms,omitempty"`
 }
 
 // FigureParams is the JSON body of a figure job.
@@ -175,16 +171,15 @@ func (p *CampaignParams) spaces() ([]fault.Space, error) {
 func (p *CampaignParams) Spec() campaign.Spec {
 	spaces, _ := p.spaces() // validated at submit
 	return campaign.Spec{
-		Scheme:       p.Scheme,
-		Trials:       p.Trials,
-		Seed:         p.Seed,
-		MaxSteps:     p.MaxSteps,
-		StepBudget:   p.StepBudget,
-		Spaces:       spaces,
-		FI:           p.FI,
-		Workers:      p.Workers,
-		CIWidth:      p.CIWidth,
-		TrialTimeout: time.Duration(p.TrialTimeoutMS) * time.Millisecond,
+		Scheme:     p.Scheme,
+		Trials:     p.Trials,
+		Seed:       p.Seed,
+		MaxSteps:   p.MaxSteps,
+		StepBudget: p.StepBudget,
+		Spaces:     spaces,
+		FI:         p.FI,
+		Workers:    p.Workers,
+		CIWidth:    p.CIWidth,
 	}
 }
 

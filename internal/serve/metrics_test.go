@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -28,51 +26,6 @@ func TestRetryAfterSecondsRoundsUp(t *testing.T) {
 		if got := retryAfterSeconds(tc.d); got != tc.want {
 			t.Errorf("retryAfterSeconds(%v) = %q, want %q", tc.d, got, tc.want)
 		}
-	}
-}
-
-// TestOverloadShedFractionalRetryAfter drives the 429 path with a
-// fractional RetryAfter and checks the header advertises the rounded-UP
-// wait, end to end through the handler.
-func TestOverloadShedFractionalRetryAfter(t *testing.T) {
-	release := make(chan struct{})
-	ran := make(chan string, 16)
-	runner := func(ctx context.Context, job *Job) (json.RawMessage, error) {
-		ran <- job.ID
-		select {
-		case <-release:
-			return json.RawMessage(`"ok"`), nil
-		case <-ctx.Done():
-			return nil, context.Cause(ctx)
-		}
-	}
-	_, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1, Runner: runner,
-		RetryAfter: 2500 * time.Millisecond})
-
-	resp1, job1 := submit(t, ts, campaignReq(5))
-	if resp1.StatusCode != http.StatusAccepted {
-		t.Fatalf("job1 status = %d", resp1.StatusCode)
-	}
-	<-ran
-	resp2, job2 := submit(t, ts, campaignReq(6))
-	if resp2.StatusCode != http.StatusAccepted {
-		t.Fatalf("job2 status = %d", resp2.StatusCode)
-	}
-	resp3, _ := submit(t, ts, campaignReq(7))
-	if resp3.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("job3 status = %d, want 429", resp3.StatusCode)
-	}
-	if got := resp3.Header.Get("Retry-After"); got != "3" {
-		t.Fatalf("Retry-After for a 2.5s hint = %q, want \"3\" (rounded up)", got)
-	}
-	close(release)
-	waitState(t, ts, job1.ID, StateDone)
-	waitState(t, ts, job2.ID, StateDone)
-
-	// The shed submit must show up on /metrics.
-	body := scrapeMetrics(t, ts.URL)
-	if !strings.Contains(body, "unsync_serve_shed_total 1\n") {
-		t.Errorf("metrics missing shed count:\n%s", body)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -63,6 +64,27 @@ func submit(t *testing.T, ts *httptest.Server, req JobRequest) (*http.Response, 
 		}
 	}
 	return resp, job
+}
+
+// retiredField is a campaign params field that no longer exists: the
+// per-trial wall-clock timeout. Requests that still set it must be
+// refused by name, not silently run without it.
+const retiredField = "trial_timeout_ms"
+
+// postRaw POSTs a literal JSON body and returns the status and the
+// response body, for requests the typed structs cannot express.
+func postRaw(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(b)
 }
 
 // getJob fetches one job's state.
@@ -178,7 +200,7 @@ func TestOverloadSheds429(t *testing.T) {
 			return nil, context.Cause(ctx)
 		}
 	}
-	_, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1, Runner: runner, RetryAfter: 3 * time.Second})
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1, Runner: runner})
 
 	resp1, job1 := submit(t, ts, campaignReq(5))
 	if resp1.StatusCode != http.StatusAccepted {
@@ -194,14 +216,19 @@ func TestOverloadSheds429(t *testing.T) {
 	if resp3.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("job3 status = %d, want 429", resp3.StatusCode)
 	}
-	if got := resp3.Header.Get("Retry-After"); got != "3" {
-		t.Fatalf("Retry-After = %q, want \"3\"", got)
+	if got := resp3.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", got)
 	}
 	close(release)
 	if j := waitState(t, ts, job1.ID, StateDone); !bytes.Equal(compactJSON(t, j.Result), []byte(`"ok"`)) {
 		t.Fatalf("job1 result = %s", j.Result)
 	}
 	waitState(t, ts, job2.ID, StateDone)
+
+	// The shed submit must show up on /metrics.
+	if body := scrapeMetrics(t, ts.URL); !strings.Contains(body, "unsync_serve_shed_total 1\n") {
+		t.Errorf("metrics missing shed count:\n%s", body)
+	}
 }
 
 func TestDrainRestartResumesBitIdentical(t *testing.T) {
@@ -312,24 +339,31 @@ func TestBreakerOpensAfterRunnerFailures(t *testing.T) {
 	runner := func(ctx context.Context, job *Job) (json.RawMessage, error) { return nil, boom }
 	cases := []struct {
 		name       string
-		breaker    resilience.BreakerConfig
+		breaker    *resilience.Breaker // nil: the server's own breaker
+		failures   int
 		retryAfter string
 	}{
-		{"explicit cooldown", resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour}, "3600"},
-		// unsync-serve sets no cooldown: clients must be told the 30 s
-		// default the breaker applies, not the zero config field.
-		{"default cooldown", resilience.BreakerConfig{FailureThreshold: 2}, "30"},
+		// The 503 hint follows the breaker's cooldown, rounded up to
+		// whole seconds, not a fixed value.
+		{"explicit cooldown", resilience.NewBreaker(resilience.BreakerConfig{
+			FailureThreshold: 2, Cooldown: time.Hour + 500*time.Millisecond}), 2, "3601"},
+		// The server runs with the resilience defaults: five consecutive
+		// failures trip the breaker, and clients are told its 30 s cooldown.
+		{"default cooldown", nil, 5, "30"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, ts := newTestServer(t, Config{Runner: runner, Breaker: tc.breaker})
-			_, j1 := submit(t, ts, campaignReq(1))
-			waitState(t, ts, j1.ID, StateFailed)
-			_, j2 := submit(t, ts, campaignReq(2))
-			waitState(t, ts, j2.ID, StateFailed)
+			s, ts := newTestServer(t, Config{Runner: runner})
+			if tc.breaker != nil {
+				s.breaker = tc.breaker // before any request reaches the server
+			}
+			for i := range tc.failures {
+				_, j := submit(t, ts, campaignReq(i+1))
+				waitState(t, ts, j.ID, StateFailed)
+			}
 
 			// Circuit open: submissions are rejected and readiness reports it.
-			resp, _ := submit(t, ts, campaignReq(3))
+			resp, _ := submit(t, ts, campaignReq(tc.failures+1))
 			if resp.StatusCode != http.StatusServiceUnavailable {
 				t.Fatalf("submit with open circuit = %d, want 503", resp.StatusCode)
 			}
@@ -404,6 +438,13 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("case %d: status = %d, want 400", i, resp.StatusCode)
 		}
 	}
+	// The retired per-trial wall-clock timeout is refused by name, not
+	// dropped.
+	status, body := postRaw(t, ts.URL+"/api/v1/jobs",
+		`{"kind":"campaign","campaign":{"prog":"checksum","`+retiredField+`":50}}`)
+	if status != http.StatusBadRequest || !strings.Contains(body, retiredField) {
+		t.Errorf("%s: status %d body %s, want 400 naming the field", retiredField, status, body)
+	}
 	// Inline source assembles at submit time.
 	resp, _ := submit(t, ts, JobRequest{Kind: KindCampaign,
 		Campaign: &CampaignParams{Source: "this is not assembly"}})
@@ -448,6 +489,43 @@ func TestJournalReplayKeepsDoneJobs(t *testing.T) {
 	}
 	if err := srv2.Drain(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReplayedRetiredTimeoutJobFailsKeyMismatch: a job journaled with
+// the retired trial timeout replays without it (the journal decoder
+// drops unknown fields), so its campaign derives a different params
+// key. A checkpoint that holds only records under the old key must
+// fail the job with ErrKeyMismatch, never mix them into the result.
+func TestReplayedRetiredTimeoutJobFailsKeyMismatch(t *testing.T) {
+	stateDir := t.TempDir()
+	const id = "j000001-0badc0de"
+	submitLine := `{"event":"submit","seq":1,"id":"` + id + `","request":{"kind":"campaign",` +
+		`"campaign":{"prog":"checksum","trials":4,"seed":7,"max_steps":20000,"` + retiredField + `":50}}}` + "\n"
+	if err := os.WriteFile(filepath.Join(stateDir, "jobs.jsonl"), []byte(submitLine), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := campaignReq(4).Campaign.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := campaign.TrialRecord{Key: "00000000deadbeef", Prog: campaign.ProgHash(prog), Seed: 7, Outcome: "benign"}
+	ckpt := append(old.AppendJSON(nil), '\n')
+	ckptPath := filepath.Join(stateDir, "checkpoints", id+".jsonl")
+	if err := os.MkdirAll(filepath.Dir(ckptPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckptPath, ckpt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Config{StateDir: stateDir})
+	job := waitState(t, ts, id, StateFailed)
+	if !strings.Contains(job.Error, campaign.ErrKeyMismatch.Error()) {
+		t.Fatalf("replayed job error %q, want %v", job.Error, campaign.ErrKeyMismatch)
+	}
+	if got, err := os.ReadFile(ckptPath); err != nil || !bytes.Equal(got, ckpt) {
+		t.Fatalf("checkpoint changed under a key mismatch (err %v):\n%s", err, got)
 	}
 }
 

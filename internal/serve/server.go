@@ -44,12 +44,6 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// MaxDeadline clamps requested deadlines (default 1 h).
 	MaxDeadline time.Duration
-	// RetryAfter is the hint returned with a 429 (default 1 s).
-	RetryAfter time.Duration
-	// Breaker guards the runner: consecutive job failures trip it and
-	// the server answers 503 until a cooldown probe succeeds. Zero
-	// values select the resilience defaults.
-	Breaker resilience.BreakerConfig
 
 	// EnableShards mounts POST /api/v1/shards, the worker half of the
 	// distributed campaign fabric: leased trial ranges execute here and
@@ -75,9 +69,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxDeadline <= 0 {
 		c.MaxDeadline = time.Hour
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -141,7 +132,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		gate:       resilience.NewGate(cfg.MaxConcurrent, cfg.QueueDepth),
-		breaker:    resilience.NewBreaker(cfg.Breaker),
+		breaker:    resilience.NewBreaker(resilience.BreakerConfig{}),
 		journal:    jn,
 		jobsCtx:    ctx,
 		drainCause: cancel,
@@ -268,7 +259,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// The bounded queue is full: shed the request instead of
 		// growing memory. Retry-After tells well-behaved clients when
 		// to come back.
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", shedRetryAfter)
 		httpError(w, http.StatusTooManyRequests, "job queue saturated")
 		return
 	}
@@ -495,6 +486,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
+
+// shedRetryAfter is the Retry-After hint of a 429, in seconds: a shed
+// submit or shard lease may come back after one second.
+const shedRetryAfter = "1"
 
 // retryAfterSeconds renders a Retry-After header value: the duration
 // in whole seconds, rounded UP, at least 1. Rounding down would tell

@@ -137,7 +137,7 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		s.shed++
 		s.mu.Unlock()
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", shedRetryAfter)
 		httpError(w, http.StatusTooManyRequests, "worker saturated")
 		return
 	}

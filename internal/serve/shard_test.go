@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/cmlasu/unsync/internal/campaign"
@@ -104,6 +105,17 @@ func TestShardRequestValidation(t *testing.T) {
 			}
 		})
 	}
+	t.Run("trial-timeout", func(t *testing.T) {
+		b, err := json.Marshal(ShardRequest{Campaign: params, Lo: 0, Hi: 10, Key: key})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = bytes.Replace(b, []byte(`"campaign":{`), []byte(`"campaign":{"`+retiredField+`":50,`), 1)
+		status, body := postRaw(t, ts.URL+"/api/v1/shards", string(b))
+		if status != http.StatusBadRequest || !strings.Contains(body, retiredField) {
+			t.Fatalf("status %d body %s, want 400 naming %s", status, body, retiredField)
+		}
+	})
 }
 
 func TestShardStreamsRangeWithTerminalEOF(t *testing.T) {

@@ -25,10 +25,6 @@ type Tracker struct {
 	k      uint64 // SDC trials
 }
 
-// wilsonZ is the tracker's Wilson multiplier: 1.96 ≈ 95%, the
-// campaign default (campaign.Spec.Z).
-const wilsonZ = 1.96
-
 // NewTracker builds an empty tracker.
 func NewTracker() *Tracker { return &Tracker{} }
 
@@ -60,7 +56,7 @@ type Convergence struct {
 // Snapshot computes the current convergence state.
 func (t *Tracker) Snapshot() Convergence {
 	c := Convergence{Done: t.done, Failed: t.failed}
-	c.Lo, c.Hi = stats.Wilson(t.k, t.n, wilsonZ)
+	c.Lo, c.Hi = stats.Wilson(t.k, t.n, campaign.Z)
 	c.Width = c.Hi - c.Lo
 	if t.n > 0 {
 		c.Rate = float64(t.k) / float64(t.n)
