@@ -369,7 +369,7 @@ var releaseBackoff resilience.Backoff
 // lease, absorb failures through the breaker and backoff, repeat until
 // the campaign completes or the run context dies.
 func (c *Coordinator) workerLoop(ctx context.Context, url string) {
-	br := resilience.NewBreaker(resilience.BreakerConfig{})
+	br := resilience.NewBreaker()
 	fails := 0
 	for ctx.Err() == nil {
 		done, err := br.Allow()

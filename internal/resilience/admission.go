@@ -36,41 +36,16 @@ func NewGate(running, waiting int) *Gate {
 	}
 }
 
-// Acquire claims an execution slot, queueing (bounded) when all slots
-// are busy. It returns nil once the slot is held, ErrSaturated when
-// the queue is full, or the context's cause if ctx is cancelled while
-// queued. Every nil return must be paired with one Release.
-func (g *Gate) Acquire(ctx context.Context) error {
-	// Fast path: a free slot, no queueing.
-	select {
-	case g.running <- struct{}{}:
-		return nil
-	default:
-	}
-	// Claim a queue ticket — or shed the request.
-	select {
-	case g.waiting <- struct{}{}:
-	default:
-		return ErrSaturated
-	}
-	defer func() { <-g.waiting }()
-	select {
-	case g.running <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return context.Cause(ctx)
-	}
-}
-
-// Reservation is a claimed place in the gate: either an execution
-// slot (ready to run) or a queue ticket (must Wait for a slot). It is
-// the split-phase form of Acquire that servers need — admission is
-// decided synchronously at submit time, the wait happens later on the
-// job's own goroutine.
+// Reservation is a claimed place in the gate: an execution slot
+// (ready to run), a queue ticket (must Wait for a slot), or, from
+// Overflow, nothing yet (must Wait for a slot). Admission is decided
+// synchronously at submit time; the wait happens later on the job's
+// own goroutine.
 type Reservation struct {
-	g    *Gate
-	slot bool // holds a running slot (vs a waiting ticket)
-	done bool // released, or converted and then released
+	g      *Gate
+	slot   bool // holds a running slot
+	ticket bool // holds a queue ticket
+	done   bool // released, or its Wait failed
 }
 
 // Reserve claims a place without blocking: an execution slot when one
@@ -85,57 +60,62 @@ func (g *Gate) Reserve() (*Reservation, error) {
 	}
 	select {
 	case g.waiting <- struct{}{}:
-		return &Reservation{g: g}, nil
+		return &Reservation{g: g, ticket: true}, nil
 	default:
 		return nil, ErrSaturated
 	}
 }
 
-// Wait converts a queue ticket into an execution slot, blocking until
+// Overflow reserves a place for work the gate already admitted once,
+// such as the jobs a restarted server replays beyond its capacity. It
+// holds no queue ticket, so new Reserve calls still see the whole
+// queue, and it never sheds: its Wait blocks for a running slot like a
+// queued reservation's. Finish it as one from Reserve.
+func (g *Gate) Overflow() *Reservation { return &Reservation{g: g} }
+
+// Wait converts the reservation into an execution slot, blocking until
 // one frees or ctx is cancelled (returning the cancellation cause and
-// releasing the ticket). It returns immediately when the reservation
-// already holds a slot.
+// releasing what the reservation holds). It returns immediately when
+// the reservation already holds a slot.
 func (r *Reservation) Wait(ctx context.Context) error {
 	if r.slot {
 		return nil
 	}
 	select {
 	case r.g.running <- struct{}{}:
-		<-r.g.waiting
 		r.slot = true
+		r.dropTicket()
 		return nil
 	case <-ctx.Done():
-		<-r.g.waiting
-		r.done = true
+		r.Release()
 		return context.Cause(ctx)
 	}
 }
 
-// Release returns whatever the reservation holds. Safe to call exactly
-// once per reservation (Wait failure releases the ticket itself).
+// dropTicket returns the reservation's queue ticket, if it holds one.
+func (r *Reservation) dropTicket() {
+	if r.ticket {
+		r.ticket = false
+		<-r.g.waiting
+	}
+}
+
+// Release returns whatever the reservation holds. Safe to call more
+// than once, and after a failed Wait.
 func (r *Reservation) Release() {
 	if r.done {
 		return
 	}
 	r.done = true
 	if r.slot {
-		r.g.Release()
-		return
+		<-r.g.running
 	}
-	<-r.g.waiting
-}
-
-// Release returns an execution slot claimed by a successful Acquire.
-func (g *Gate) Release() {
-	select {
-	case <-g.running:
-	default:
-		panic("resilience: Gate.Release without Acquire")
-	}
+	r.dropTicket()
 }
 
 // InFlight reports how many execution slots are currently held.
 func (g *Gate) InFlight() int { return len(g.running) }
 
-// Queued reports how many calls are waiting for a slot.
+// Queued reports how many queue tickets are held. Overflow
+// reservations waiting for a slot hold none and are not counted.
 func (g *Gate) Queued() int { return len(g.waiting) }

@@ -20,7 +20,7 @@ import (
 
 // Backoff describes an exponential backoff schedule with full jitter:
 // attempt n (0-based) sleeps a uniformly random duration in
-// [0, min(Base*Mult^n, Max)]. Full jitter — rather than equal or
+// [0, min(Base*2^n, Max)]. Full jitter — rather than equal or
 // decorrelated jitter — minimizes synchronized retry bursts from many
 // clients while keeping the expected total wait close to plain
 // exponential backoff.
@@ -30,8 +30,6 @@ type Backoff struct {
 	Base time.Duration
 	// Max bounds every attempt's sleep cap. Zero selects 10 s.
 	Max time.Duration
-	// Mult is the per-attempt growth factor. Values <= 1 select 2.
-	Mult float64
 	// Attempts is the total number of tries (the first call plus
 	// retries). Zero selects 4.
 	Attempts int
@@ -50,9 +48,6 @@ func (b Backoff) withDefaults() Backoff {
 	if b.Max <= 0 {
 		b.Max = 10 * time.Second
 	}
-	if b.Mult <= 1 {
-		b.Mult = 2
-	}
 	if b.Attempts <= 0 {
 		b.Attempts = 4
 	}
@@ -60,12 +55,12 @@ func (b Backoff) withDefaults() Backoff {
 }
 
 // Sleep returns the jittered sleep before retry attempt n (0-based):
-// uniform in [0, cap_n] where cap_n = min(Base*Mult^n, Max).
+// uniform in [0, cap_n] where cap_n = min(Base*2^n, Max).
 func (b Backoff) Sleep(attempt int) time.Duration {
 	b = b.withDefaults()
 	limit := float64(b.Base)
 	for i := 0; i < attempt; i++ {
-		limit *= b.Mult
+		limit *= 2
 		if limit >= float64(b.Max) {
 			limit = float64(b.Max)
 			break
@@ -78,25 +73,10 @@ func (b Backoff) Sleep(attempt int) time.Duration {
 	return time.Duration(f() * limit)
 }
 
-// Permanent marks an error as not retryable: Retry stops immediately
-// and returns it unwrapped to one level (errors.Is/As see through).
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return permanentError{err}
-}
-
-type permanentError struct{ err error }
-
-func (p permanentError) Error() string { return p.err.Error() }
-func (p permanentError) Unwrap() error { return p.err }
-
 // Retry runs f up to b.Attempts times, sleeping the jittered backoff
-// between failures. It stops early when f succeeds, when f returns an
-// error wrapped by Permanent, or when ctx is cancelled (the
-// cancellation cause is joined with the last failure). The sleep
-// itself is interruptible by ctx.
+// between failures. It stops early when f succeeds or when ctx is
+// cancelled (the cancellation cause is joined with the last failure).
+// The sleep itself is interruptible by ctx.
 func Retry(ctx context.Context, b Backoff, f func(ctx context.Context) error) error {
 	b = b.withDefaults()
 	var last error
@@ -107,10 +87,6 @@ func Retry(ctx context.Context, b Backoff, f func(ctx context.Context) error) er
 		err := f(ctx)
 		if err == nil {
 			return nil
-		}
-		var perm permanentError
-		if errors.As(err, &perm) {
-			return err
 		}
 		last = err
 		if attempt == b.Attempts-1 {

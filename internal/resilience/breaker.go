@@ -19,8 +19,8 @@ const (
 	Closed State = iota
 	// Open rejects every call until the cooldown elapses.
 	Open
-	// HalfOpen admits a limited number of probe calls; one success
-	// closes the circuit, one failure reopens it.
+	// HalfOpen admits one probe call; its success closes the circuit,
+	// its failure reopens it.
 	HalfOpen
 )
 
@@ -37,58 +37,37 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int(s))
 }
 
-// BreakerConfig tunes a Breaker. The zero value selects the defaults
-// noted per field.
-type BreakerConfig struct {
-	// FailureThreshold is the consecutive-failure count that trips the
-	// circuit Closed→Open. Zero selects 5.
-	FailureThreshold int
-	// Cooldown is how long the circuit stays Open before admitting
-	// probes. Zero selects 30 s.
-	Cooldown time.Duration
-	// HalfOpenProbes is how many concurrent probe calls HalfOpen
-	// admits. Zero selects 1.
-	HalfOpenProbes int
-
-	// now overrides the clock in tests; nil uses the wall clock.
-	now func() time.Time
-}
+// The breaker's fixed tuning: serve and fabric both run with it.
+const (
+	// failureThreshold is the consecutive-failure count that trips the
+	// circuit Closed→Open.
+	failureThreshold = 5
+	// Cooldown is how long the circuit stays Open before admitting its
+	// one HalfOpen probe.
+	Cooldown = 30 * time.Second
+)
 
 // Breaker is a three-state circuit breaker guarding a downstream
-// dependency: repeated failures trip it open, rejecting calls
-// instantly (failing fast instead of queueing doomed work); after a
-// cooldown it admits a few probes, and a probe success closes it
-// again. Safe for concurrent use.
+// dependency: five consecutive failures trip it open, rejecting calls
+// instantly (failing fast instead of queueing doomed work); after the
+// cooldown it admits one probe, and a probe success closes it again.
+// Safe for concurrent use.
 type Breaker struct {
-	cfg BreakerConfig
+	now func() time.Time // the cooldown clock; tests replace it
 
 	mu       sync.Mutex
 	state    State
 	failures int       // consecutive failures while Closed
 	openedAt time.Time // when the circuit tripped
-	probes   int       // in-flight HalfOpen probes
+	probing  bool      // the HalfOpen probe is in flight
 }
 
-// NewBreaker builds a breaker with the given configuration.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = 5
+// NewBreaker builds a closed breaker.
+func NewBreaker() *Breaker {
+	return &Breaker{
+		now: time.Now, //unsync:allow-wallclock breaker cooldown is real time, never simulated time
 	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 30 * time.Second
-	}
-	if cfg.HalfOpenProbes <= 0 {
-		cfg.HalfOpenProbes = 1
-	}
-	if cfg.now == nil {
-		cfg.now = time.Now //unsync:allow-wallclock breaker cooldown is real time, never simulated time
-	}
-	return &Breaker{cfg: cfg}
 }
-
-// Cooldown returns how long the circuit stays Open before admitting
-// probes, with the default applied.
-func (b *Breaker) Cooldown() time.Duration { return b.cfg.Cooldown }
 
 // State reports the breaker's current position (after applying any due
 // Open→HalfOpen transition).
@@ -102,9 +81,9 @@ func (b *Breaker) State() State {
 // tick applies the time-based Open→HalfOpen transition. Callers hold
 // b.mu.
 func (b *Breaker) tick() {
-	if b.state == Open && b.cfg.now().Sub(b.openedAt) >= b.cfg.Cooldown {
+	if b.state == Open && b.now().Sub(b.openedAt) >= Cooldown {
 		b.state = HalfOpen
-		b.probes = 0
+		b.probing = false
 	}
 }
 
@@ -119,10 +98,10 @@ func (b *Breaker) Allow() (done func(error), err error) {
 	case Open:
 		return nil, ErrOpen
 	case HalfOpen:
-		if b.probes >= b.cfg.HalfOpenProbes {
+		if b.probing {
 			return nil, ErrOpen
 		}
-		b.probes++
+		b.probing = true
 	}
 	return b.done, nil
 }
@@ -137,11 +116,11 @@ func (b *Breaker) done(callErr error) {
 			b.failures = 0
 			return
 		}
-		if b.failures++; b.failures >= b.cfg.FailureThreshold {
+		if b.failures++; b.failures >= failureThreshold {
 			b.trip()
 		}
 	case HalfOpen:
-		b.probes--
+		b.probing = false
 		if callErr == nil {
 			b.state = Closed
 			b.failures = 0
@@ -149,27 +128,15 @@ func (b *Breaker) done(callErr error) {
 		}
 		b.trip()
 	case Open:
-		// A HalfOpen probe that finished after another probe already
-		// reopened the circuit: nothing further to record.
+		// A call admitted before the circuit tripped: nothing further
+		// to record.
 	}
 }
 
 // trip opens the circuit now. Callers hold b.mu.
 func (b *Breaker) trip() {
 	b.state = Open
-	b.openedAt = b.cfg.now()
+	b.openedAt = b.now()
 	b.failures = 0
-	b.probes = 0
-}
-
-// Do runs f under the breaker: rejected with ErrOpen when open,
-// otherwise f's error is recorded as the call outcome.
-func (b *Breaker) Do(f func() error) error {
-	done, err := b.Allow()
-	if err != nil {
-		return err
-	}
-	err = f()
-	done(err)
-	return err
+	b.probing = false
 }

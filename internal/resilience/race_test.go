@@ -13,32 +13,17 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestBreakerHalfOpenConcurrentProbeStampede trips the breaker, lets
 // the cooldown elapse, then fires many concurrent Allow calls at the
-// half-open circuit: exactly HalfOpenProbes may be admitted, no matter
-// how the goroutines interleave.
+// half-open circuit: exactly one probe may be admitted, no matter how
+// the goroutines interleave.
 func TestBreakerHalfOpenConcurrentProbeStampede(t *testing.T) {
-	const probes = 3
-	const threshold = probes + 2 // stragglers' failures must not re-trip a closed circuit
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	b := NewBreaker(BreakerConfig{
-		FailureThreshold: threshold,
-		Cooldown:         time.Minute,
-		HalfOpenProbes:   probes,
-		now:              clk.now,
-	})
-	for i := 0; i < threshold; i++ {
-		if err := b.Do(func() error { return errors.New("boom") }); err == nil {
-			t.Fatal("failing call reported success")
-		}
-	}
-	if st := b.State(); st != Open {
-		t.Fatalf("state after trip = %s, want open", st)
-	}
-	clk.advance(time.Minute)
+	const probes = 1
+	b, clk := newTestBreaker()
+	trip(t, b)
+	clk.advance(Cooldown)
 
 	const callers = 64
 	var (
@@ -76,17 +61,9 @@ func TestBreakerHalfOpenConcurrentProbeStampede(t *testing.T) {
 		t.Fatalf("rejected %d calls, want %d", got, callers-probes)
 	}
 
-	// One probe success closes the circuit; the stragglers' failures
-	// then land on a Closed breaker and count as ordinary consecutive
-	// failures — below the threshold, the circuit stays closed.
-	first := true
+	// The probe's success closes the circuit.
 	for done := range dones {
-		if first {
-			done(nil)
-			first = false
-			continue
-		}
-		done(errors.New("late straggler"))
+		done(nil)
 	}
 	if st := b.State(); st != Closed {
 		t.Fatalf("state after probe success = %s, want closed", st)

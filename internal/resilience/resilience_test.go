@@ -12,7 +12,7 @@ import (
 // ---- Backoff ----
 
 func TestBackoffSleepCaps(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: time.Second, Mult: 2, rng: func() float64 { return 1 }}
+	b := Backoff{Base: 100 * time.Millisecond, Max: time.Second, rng: func() float64 { return 1 }}
 	want := []time.Duration{
 		100 * time.Millisecond, // attempt 0: base
 		200 * time.Millisecond,
@@ -62,23 +62,11 @@ func TestRetryExhaustsAttempts(t *testing.T) {
 	}
 }
 
-func TestRetryPermanentStopsImmediately(t *testing.T) {
-	fatal := errors.New("fatal")
-	calls := 0
-	err := Retry(context.Background(), Backoff{Base: time.Microsecond, Attempts: 5}, func(context.Context) error {
-		calls++
-		return Permanent(fatal)
-	})
-	if !errors.Is(err, fatal) || calls != 1 {
-		t.Fatalf("err = %v, calls = %d", err, calls)
-	}
-}
-
 func TestRetryCancelledDuringSleep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	boom := errors.New("boom")
 	calls := 0
-	err := Retry(ctx, Backoff{Base: time.Hour, Mult: 2, Attempts: 5, rng: func() float64 { return 1 }},
+	err := Retry(ctx, Backoff{Base: time.Hour, Attempts: 5, rng: func() float64 { return 1 }},
 		func(context.Context) error {
 			calls++
 			cancel()
@@ -122,37 +110,66 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
-func newTestBreaker(threshold int, cooldown time.Duration) (*Breaker, *fakeClock) {
+// newTestBreaker builds a breaker on a fake clock.
+func newTestBreaker() (*Breaker, *fakeClock) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
-	return NewBreaker(BreakerConfig{
-		FailureThreshold: threshold,
-		Cooldown:         cooldown,
-		now:              clk.now,
-	}), clk
+	b := NewBreaker()
+	b.now = clk.now
+	return b, clk
+}
+
+// call runs f under the breaker the way serve and fabric do: Allow,
+// then report f's outcome to done.
+func call(b *Breaker, f func() error) error {
+	done, err := b.Allow()
+	if err != nil {
+		return err
+	}
+	err = f()
+	done(err)
+	return err
+}
+
+// trip fails failureThreshold consecutive calls.
+func trip(t *testing.T, b *Breaker) {
+	t.Helper()
+	for i := 0; i < failureThreshold; i++ {
+		if err := call(b, func() error { return errors.New("boom") }); err == nil {
+			t.Fatal("failing call reported success")
+		}
+	}
+	if got := b.State(); got != Open {
+		t.Fatalf("state after %d failures = %v, want Open", failureThreshold, got)
+	}
 }
 
 func TestBreakerTripsAfterThreshold(t *testing.T) {
-	b, _ := newTestBreaker(3, time.Minute)
+	b, _ := newTestBreaker()
 	boom := errors.New("boom")
-	for i := 0; i < 3; i++ {
-		if err := b.Do(func() error { return boom }); !errors.Is(err, boom) {
+	for i := 0; i < 5; i++ {
+		if got := b.State(); got != Closed {
+			t.Fatalf("state after %d failures = %v, want Closed", i, got)
+		}
+		if err := call(b, func() error { return boom }); !errors.Is(err, boom) {
 			t.Fatalf("call %d: err = %v", i, err)
 		}
 	}
 	if got := b.State(); got != Open {
 		t.Fatalf("state = %v, want Open", got)
 	}
-	if err := b.Do(func() error { t.Fatal("ran while open"); return nil }); !errors.Is(err, ErrOpen) {
+	if err := call(b, func() error { t.Fatal("ran while open"); return nil }); !errors.Is(err, ErrOpen) {
 		t.Fatalf("open call err = %v, want ErrOpen", err)
 	}
 }
 
 func TestBreakerSuccessResetsCount(t *testing.T) {
-	b, _ := newTestBreaker(3, time.Minute)
+	b, _ := newTestBreaker()
 	boom := errors.New("boom")
 	for i := 0; i < 10; i++ {
-		b.Do(func() error { return boom })
-		b.Do(func() error { return nil }) // resets the consecutive count
+		for j := 0; j < failureThreshold-1; j++ {
+			call(b, func() error { return boom })
+		}
+		call(b, func() error { return nil }) // resets the consecutive count
 	}
 	if got := b.State(); got != Closed {
 		t.Fatalf("state = %v, want Closed (failures never consecutive)", got)
@@ -160,16 +177,17 @@ func TestBreakerSuccessResetsCount(t *testing.T) {
 }
 
 func TestBreakerHalfOpenProbeCloses(t *testing.T) {
-	b, clk := newTestBreaker(1, time.Minute)
-	b.Do(func() error { return errors.New("boom") })
+	b, clk := newTestBreaker()
+	trip(t, b)
+	clk.advance(Cooldown - time.Nanosecond)
 	if b.State() != Open {
-		t.Fatal("not open after threshold")
+		t.Fatal("circuit half-opened before the cooldown elapsed")
 	}
-	clk.advance(time.Minute)
+	clk.advance(time.Nanosecond)
 	if b.State() != HalfOpen {
 		t.Fatal("cooldown did not half-open the circuit")
 	}
-	if err := b.Do(func() error { return nil }); err != nil {
+	if err := call(b, func() error { return nil }); err != nil {
 		t.Fatalf("probe err = %v", err)
 	}
 	if got := b.State(); got != Closed {
@@ -178,31 +196,31 @@ func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 }
 
 func TestBreakerHalfOpenProbeReopens(t *testing.T) {
-	b, clk := newTestBreaker(1, time.Minute)
-	b.Do(func() error { return errors.New("boom") })
-	clk.advance(time.Minute)
-	if err := b.Do(func() error { return errors.New("still down") }); err == nil {
+	b, clk := newTestBreaker()
+	trip(t, b)
+	clk.advance(Cooldown)
+	if err := call(b, func() error { return errors.New("still down") }); err == nil {
 		t.Fatal("probe error swallowed")
 	}
 	if got := b.State(); got != Open {
 		t.Fatalf("state after failed probe = %v, want Open", got)
 	}
 	// A second cooldown admits another probe.
-	clk.advance(time.Minute)
+	clk.advance(Cooldown)
 	if got := b.State(); got != HalfOpen {
 		t.Fatalf("state after second cooldown = %v, want HalfOpen", got)
 	}
 }
 
 func TestBreakerHalfOpenLimitsProbes(t *testing.T) {
-	b, clk := newTestBreaker(1, time.Minute)
-	b.Do(func() error { return errors.New("boom") })
-	clk.advance(time.Minute)
+	b, clk := newTestBreaker()
+	trip(t, b)
+	clk.advance(Cooldown)
 	done, err := b.Allow()
 	if err != nil {
 		t.Fatalf("first probe rejected: %v", err)
 	}
-	// Second concurrent probe must be rejected (HalfOpenProbes = 1).
+	// Second concurrent probe must be rejected: HalfOpen admits one.
 	if _, err := b.Allow(); !errors.Is(err, ErrOpen) {
 		t.Fatalf("second probe err = %v, want ErrOpen", err)
 	}
@@ -213,7 +231,7 @@ func TestBreakerHalfOpenLimitsProbes(t *testing.T) {
 }
 
 func TestBreakerConcurrent(t *testing.T) {
-	b, _ := newTestBreaker(50, time.Minute)
+	b, _ := newTestBreaker()
 	boom := errors.New("boom")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -221,7 +239,7 @@ func TestBreakerConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				b.Do(func() error {
+				call(b, func() error {
 					if (w+i)%3 == 0 {
 						return boom
 					}
@@ -238,65 +256,68 @@ func TestBreakerConcurrent(t *testing.T) {
 
 func TestGateAdmitsUpToRunning(t *testing.T) {
 	g := NewGate(2, 0)
-	ctx := context.Background()
-	if err := g.Acquire(ctx); err != nil {
-		t.Fatal(err)
+	r1, err := g.Reserve()
+	if err != nil || !r1.slot {
+		t.Fatalf("first reservation: err=%v, want a slot", err)
 	}
-	if err := g.Acquire(ctx); err != nil {
-		t.Fatal(err)
+	r2, err := g.Reserve()
+	if err != nil || !r2.slot {
+		t.Fatalf("second reservation: err=%v, want a slot", err)
 	}
-	// No queue: third concurrent call is shed.
-	if err := g.Acquire(ctx); !errors.Is(err, ErrSaturated) {
+	// No queue: a third concurrent call is shed.
+	if _, err := g.Reserve(); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("err = %v, want ErrSaturated", err)
 	}
-	g.Release()
-	if err := g.Acquire(ctx); err != nil {
-		t.Fatalf("slot freed but acquire failed: %v", err)
+	r1.Release()
+	r3, err := g.Reserve()
+	if err != nil || !r3.slot {
+		t.Fatalf("slot freed but reserve failed: %v", err)
 	}
-	g.Release()
-	g.Release()
+	r3.Release()
+	r2.Release()
 }
 
 func TestGateBoundedQueue(t *testing.T) {
 	g := NewGate(1, 1)
-	ctx := context.Background()
-	if err := g.Acquire(ctx); err != nil {
+	running, err := g.Reserve()
+	if err != nil {
 		t.Fatal(err)
 	}
-	// One caller may wait...
-	acquired := make(chan error, 1)
-	go func() {
-		err := g.Acquire(ctx)
-		if err == nil {
-			defer g.Release()
-		}
-		acquired <- err
-	}()
-	// ...wait until it is actually queued...
-	for g.Queued() == 0 {
-		time.Sleep(100 * time.Microsecond) //unsync:allow-sleep test poll for queue occupancy
+	// One caller may queue...
+	queued, err := g.Reserve()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// ...and the next one is shed instantly.
-	if err := g.Acquire(ctx); !errors.Is(err, ErrSaturated) {
+	waited := make(chan error, 1)
+	go func() { waited <- queued.Wait(context.Background()) }()
+	// ...and the next one is shed instantly, whether or not the queued
+	// one has started waiting.
+	if _, err := g.Reserve(); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("overflow err = %v, want ErrSaturated", err)
 	}
-	g.Release()
-	if err := <-acquired; err != nil {
+	running.Release()
+	if err := <-waited; err != nil {
 		t.Fatalf("queued caller err = %v", err)
+	}
+	queued.Release()
+	if g.InFlight() != 0 || g.Queued() != 0 {
+		t.Fatalf("leaked: inflight=%d queued=%d", g.InFlight(), g.Queued())
 	}
 }
 
 func TestGateCancelWhileQueued(t *testing.T) {
 	g := NewGate(1, 4)
-	if err := g.Acquire(context.Background()); err != nil {
+	running, err := g.Reserve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := g.Reserve()
+	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
-	go func() { errc <- g.Acquire(ctx) }()
-	for g.Queued() == 0 {
-		time.Sleep(100 * time.Microsecond) //unsync:allow-sleep test poll for queue occupancy
-	}
+	go func() { errc <- queued.Wait(ctx) }()
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -304,7 +325,7 @@ func TestGateCancelWhileQueued(t *testing.T) {
 	if got := g.Queued(); got != 0 {
 		t.Fatalf("queue ticket leaked: Queued() = %d", got)
 	}
-	g.Release()
+	running.Release()
 }
 
 func TestGateConcurrentNeverExceedsLimit(t *testing.T) {
@@ -316,10 +337,15 @@ func TestGateConcurrentNeverExceedsLimit(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := g.Acquire(context.Background()); err != nil {
+			r, err := g.Reserve()
+			if err != nil {
 				return
 			}
-			defer g.Release()
+			defer r.Release()
+			if err := r.Wait(context.Background()); err != nil {
+				t.Errorf("Wait: %v", err)
+				return
+			}
 			cur := inFlight.Add(1)
 			for {
 				p := peak.Load()
@@ -387,11 +413,44 @@ func TestGateReservationWaitCancel(t *testing.T) {
 	}
 }
 
-func TestGateReleaseWithoutAcquirePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unbalanced Release did not panic")
-		}
-	}()
-	NewGate(1, 0).Release()
+// An overflow reservation holds no queue ticket, so a full gate still
+// sheds new work at Reserve, yet its Wait blocks for a running slot
+// instead of running beside the slot holder.
+func TestGateOverflowWaitsForSlot(t *testing.T) {
+	g := NewGate(1, 1)
+	running, err := g.Reserve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := g.Reserve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := g.Overflow()
+	if g.Queued() != 1 {
+		t.Fatalf("Queued() = %d with an overflow reservation, want 1 (no ticket)", g.Queued())
+	}
+	if _, err := g.Reserve(); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("Reserve beside an overflow reservation = %v, want ErrSaturated", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := over.Wait(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("overflow Wait with the slot held = %v, want it to block until the deadline", err)
+	}
+	over.Release() // no-op after a failed Wait
+
+	over = g.Overflow()
+	running.Release()
+	if err := over.Wait(context.Background()); err != nil {
+		t.Fatalf("overflow Wait after the slot freed: %v", err)
+	}
+	if g.InFlight() != 1 || g.Queued() != 1 {
+		t.Fatalf("inflight=%d queued=%d, want the overflow's slot and the queued ticket", g.InFlight(), g.Queued())
+	}
+	over.Release()
+	queued.Release()
+	if g.InFlight() != 0 || g.Queued() != 0 {
+		t.Fatalf("leaked: inflight=%d queued=%d", g.InFlight(), g.Queued())
+	}
 }

@@ -91,7 +91,7 @@ func TestTornJournalSurvivesTwoRestarts(t *testing.T) {
 	runner := func(ctx context.Context, job *Job) (json.RawMessage, error) {
 		return json.RawMessage(`{"answer":42}`), nil
 	}
-	srv, ts := newTestServer(t, Config{StateDir: stateDir, Runner: runner})
+	srv, ts := newRunnerServer(t, Config{StateDir: stateDir}, runner)
 	_, job := submit(t, ts, campaignReq(3))
 	waitState(t, ts, job.ID, StateDone)
 	if err := srv.Drain(context.Background()); err != nil {
@@ -99,7 +99,7 @@ func TestTornJournalSurvivesTwoRestarts(t *testing.T) {
 	}
 	ts.Close()
 
-	srv2, ts2 := newTestServer(t, Config{StateDir: stateDir, Runner: runner})
+	srv2, ts2 := newRunnerServer(t, Config{StateDir: stateDir}, runner)
 	if got := getJob(t, ts2, job.ID); got.State != StateDone {
 		t.Fatalf("job after restart: %s, want done", got.State)
 	}

@@ -14,12 +14,13 @@ import (
 	"github.com/cmlasu/unsync/internal/stream"
 )
 
-// Runner executes one job and returns its JSON result. The server's
+// runFunc executes one job and returns its JSON result. The server's
 // default runner dispatches on the job kind; tests inject slow or
-// failing runners to exercise overload and breaker behavior.
-type Runner func(ctx context.Context, job *Job) (json.RawMessage, error)
+// failing runners through newServer to exercise overload and breaker
+// behavior.
+type runFunc func(ctx context.Context, job *Job) (json.RawMessage, error)
 
-// defaultRunner is the production Runner.
+// defaultRunner is the production runFunc.
 func (s *Server) defaultRunner(ctx context.Context, job *Job) (json.RawMessage, error) {
 	switch job.Kind {
 	case KindCampaign:

@@ -12,11 +12,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/cmlasu/unsync/internal/campaign"
-	"github.com/cmlasu/unsync/internal/resilience"
 )
 
 // compactJSON normalizes whitespace so results can be compared
@@ -33,10 +33,17 @@ func compactJSON(t *testing.T, b []byte) []byte {
 // newTestServer builds a server over a fresh state dir.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	return newRunnerServer(t, cfg, nil)
+}
+
+// newRunnerServer is newTestServer with the job runner replaced (nil
+// keeps the real one).
+func newRunnerServer(t *testing.T, cfg Config, runner runFunc) (*Server, *httptest.Server) {
+	t.Helper()
 	if cfg.StateDir == "" {
 		cfg.StateDir = t.TempDir()
 	}
-	s, err := New(cfg)
+	s, err := newServer(cfg, runner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +207,7 @@ func TestOverloadSheds429(t *testing.T) {
 			return nil, context.Cause(ctx)
 		}
 	}
-	_, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1, Runner: runner})
+	_, ts := newRunnerServer(t, Config{MaxConcurrent: 1, QueueDepth: 1}, runner)
 
 	resp1, job1 := submit(t, ts, campaignReq(5))
 	if resp1.StatusCode != http.StatusAccepted {
@@ -297,12 +304,79 @@ func TestDrainRestartResumesBitIdentical(t *testing.T) {
 	}
 }
 
+// A restarted server re-enqueues every unfinished job, even more than
+// its gate holds. The jobs beyond the gate's capacity must still wait
+// for a running slot: MaxConcurrent bounds the runner after a restart
+// as before it.
+func TestRestartOverflowWaitsForSlot(t *testing.T) {
+	const jobs = 5
+	stateDir := t.TempDir()
+
+	// First life: admit five jobs, then drain them all to interrupted.
+	block := func(ctx context.Context, job *Job) (json.RawMessage, error) {
+		<-ctx.Done()
+		return nil, context.Cause(ctx)
+	}
+	srv, ts := newRunnerServer(t, Config{StateDir: stateDir, MaxConcurrent: 1, QueueDepth: jobs}, block)
+	ids := make([]string, jobs)
+	for i := range ids {
+		resp, job := submit(t, ts, campaignReq(i+1))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d status = %d", i, resp.StatusCode)
+		}
+		ids[i] = job.ID
+	}
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+
+	// Second life: one running slot and one queue ticket for five
+	// replayed jobs. Each runner call holds its slot until released.
+	var inFlight, peak atomic.Int32
+	entered := make(chan struct{}, jobs)
+	release := make(chan struct{})
+	runner := func(ctx context.Context, job *Job) (json.RawMessage, error) {
+		n := inFlight.Add(1)
+		defer inFlight.Add(-1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+		entered <- struct{}{}
+		select {
+		case <-release:
+			return json.RawMessage(`"ok"`), nil
+		case <-ctx.Done():
+			return nil, context.Cause(ctx)
+		}
+	}
+	srv2, ts2 := newRunnerServer(t, Config{StateDir: stateDir, MaxConcurrent: 1, QueueDepth: 1}, runner)
+	for range jobs {
+		<-entered
+		// Let any job that skipped the gate enter the runner too.
+		time.Sleep(20 * time.Millisecond) //unsync:allow-sleep test settle before releasing the running job
+		release <- struct{}{}
+	}
+	for _, id := range ids {
+		waitState(t, ts2, id, StateDone)
+	}
+	if p := peak.Load(); p != 1 {
+		t.Fatalf("%d concurrent runner calls after restart, want at most MaxConcurrent = 1", p)
+	}
+	if err := srv2.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestJobDeadlineFailsTerminally(t *testing.T) {
 	runner := func(ctx context.Context, job *Job) (json.RawMessage, error) {
 		<-ctx.Done()
 		return nil, context.Cause(ctx)
 	}
-	_, ts := newTestServer(t, Config{Runner: runner})
+	_, ts := newRunnerServer(t, Config{}, runner)
 	req := campaignReq(5)
 	req.DeadlineMS = 30
 	_, job := submit(t, ts, req)
@@ -316,10 +390,10 @@ func TestJobDeadlineFailsTerminally(t *testing.T) {
 }
 
 func TestDeadlineClamping(t *testing.T) {
-	s, ts := newTestServer(t, Config{DefaultDeadline: 2 * time.Second, MaxDeadline: 5 * time.Second,
-		Runner: func(ctx context.Context, job *Job) (json.RawMessage, error) {
+	s, ts := newRunnerServer(t, Config{DefaultDeadline: 2 * time.Second, MaxDeadline: 5 * time.Second},
+		func(ctx context.Context, job *Job) (json.RawMessage, error) {
 			return json.RawMessage(`"ok"`), nil
-		}})
+		})
 	_ = s
 	req := campaignReq(1)
 	_, job := submit(t, ts, req)
@@ -337,49 +411,33 @@ func TestDeadlineClamping(t *testing.T) {
 func TestBreakerOpensAfterRunnerFailures(t *testing.T) {
 	boom := errors.New("runner broken")
 	runner := func(ctx context.Context, job *Job) (json.RawMessage, error) { return nil, boom }
-	cases := []struct {
-		name       string
-		breaker    *resilience.Breaker // nil: the server's own breaker
-		failures   int
-		retryAfter string
-	}{
-		// The 503 hint follows the breaker's cooldown, rounded up to
-		// whole seconds, not a fixed value.
-		{"explicit cooldown", resilience.NewBreaker(resilience.BreakerConfig{
-			FailureThreshold: 2, Cooldown: time.Hour + 500*time.Millisecond}), 2, "3601"},
-		// The server runs with the resilience defaults: five consecutive
-		// failures trip the breaker, and clients are told its 30 s cooldown.
-		{"default cooldown", nil, 5, "30"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s, ts := newTestServer(t, Config{Runner: runner})
-			if tc.breaker != nil {
-				s.breaker = tc.breaker // before any request reaches the server
-			}
-			for i := range tc.failures {
-				_, j := submit(t, ts, campaignReq(i+1))
-				waitState(t, ts, j.ID, StateFailed)
-			}
+	// The server runs with the resilience defaults: five consecutive
+	// failures trip the breaker, and clients are told its 30 s cooldown.
+	t.Run("default cooldown", func(t *testing.T) {
+		const failures = 5
+		_, ts := newRunnerServer(t, Config{}, runner)
+		for i := range failures {
+			_, j := submit(t, ts, campaignReq(i+1))
+			waitState(t, ts, j.ID, StateFailed)
+		}
 
-			// Circuit open: submissions are rejected and readiness reports it.
-			resp, _ := submit(t, ts, campaignReq(tc.failures+1))
-			if resp.StatusCode != http.StatusServiceUnavailable {
-				t.Fatalf("submit with open circuit = %d, want 503", resp.StatusCode)
-			}
-			if got := resp.Header.Get("Retry-After"); got != tc.retryAfter {
-				t.Errorf("Retry-After with open circuit = %q, want %q", got, tc.retryAfter)
-			}
-			ready, err := http.Get(ts.URL + "/readyz")
-			if err != nil {
-				t.Fatal(err)
-			}
-			ready.Body.Close()
-			if ready.StatusCode != http.StatusServiceUnavailable {
-				t.Fatalf("readyz with open circuit = %d, want 503", ready.StatusCode)
-			}
-		})
-	}
+		// Circuit open: submissions are rejected and readiness reports it.
+		resp, _ := submit(t, ts, campaignReq(failures+1))
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("submit with open circuit = %d, want 503", resp.StatusCode)
+		}
+		if got := resp.Header.Get("Retry-After"); got != "30" {
+			t.Errorf("Retry-After with open circuit = %q, want %q", got, "30")
+		}
+		ready, err := http.Get(ts.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ready.Body.Close()
+		if ready.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("readyz with open circuit = %d, want 503", ready.StatusCode)
+		}
+	})
 }
 
 func TestHealthAndReadiness(t *testing.T) {
@@ -459,9 +517,9 @@ func TestSubmitValidation(t *testing.T) {
 
 func TestJournalReplayKeepsDoneJobs(t *testing.T) {
 	stateDir := t.TempDir()
-	srv, ts := newTestServer(t, Config{StateDir: stateDir, Runner: func(ctx context.Context, job *Job) (json.RawMessage, error) {
+	srv, ts := newRunnerServer(t, Config{StateDir: stateDir}, func(ctx context.Context, job *Job) (json.RawMessage, error) {
 		return json.RawMessage(`{"answer":42}`), nil
-	}})
+	})
 	_, job := submit(t, ts, campaignReq(3))
 	waitState(t, ts, job.ID, StateDone)
 	if err := srv.Drain(context.Background()); err != nil {

@@ -51,10 +51,6 @@ type Config struct {
 	// plain job server should not accept fleet work it was never sized
 	// for; cmd/unsync-serve turns it on with -worker.
 	EnableShards bool
-
-	// Runner overrides job execution in tests; nil selects the real
-	// campaign/figure runner.
-	Runner Runner
 }
 
 func (c Config) withDefaults() Config {
@@ -77,7 +73,7 @@ func (c Config) withDefaults() Config {
 // on an http.Server, and call Drain before exit.
 type Server struct {
 	cfg     Config
-	runner  Runner
+	runner  runFunc
 	gate    *resilience.Gate
 	breaker *resilience.Breaker
 	journal *journal.Log
@@ -109,7 +105,12 @@ type Server struct {
 // the previous process exited. Campaign jobs resume from their
 // checkpoint journals, so a drained campaign completes bit-identically
 // to an uninterrupted one.
-func New(cfg Config) (*Server, error) {
+func New(cfg Config) (*Server, error) { return newServer(cfg, nil) }
+
+// newServer is New with the job runner replaced (nil selects the real
+// campaign/figure runner). The runner must be in place before the
+// replayed jobs start, so tests inject it here.
+func newServer(cfg Config, runner runFunc) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.StateDir == "" {
 		return nil, errors.New("serve: Config.StateDir is required")
@@ -132,7 +133,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		gate:       resilience.NewGate(cfg.MaxConcurrent, cfg.QueueDepth),
-		breaker:    resilience.NewBreaker(resilience.BreakerConfig{}),
+		breaker:    resilience.NewBreaker(),
 		journal:    jn,
 		jobsCtx:    ctx,
 		drainCause: cancel,
@@ -140,15 +141,16 @@ func New(cfg Config) (*Server, error) {
 		planes:     map[string]*stream.Plane{},
 		seq:        maxSeq,
 	}
-	s.runner = cfg.Runner
+	s.runner = runner
 	if s.runner == nil {
 		s.runner = s.defaultRunner
 	}
 	s.routes()
 
-	// Re-enqueue unfinished work from the previous process. Admission
-	// is bypassed — these jobs were admitted once already; a restart
-	// must not shed them.
+	// Re-enqueue unfinished work from the previous process. These jobs
+	// were admitted once already, so a restart must not shed them: the
+	// ones beyond the gate's capacity wait for a running slot without
+	// holding a queue ticket, and new submits still see the whole queue.
 	for _, job := range prior {
 		s.jobs[job.ID] = job
 		s.order = append(s.order, job.ID)
@@ -158,11 +160,7 @@ func New(cfg Config) (*Server, error) {
 		s.setState(job, StateQueued, "", nil)
 		res, rerr := s.gate.Reserve()
 		if rerr != nil {
-			// More unfinished jobs than gate capacity: run the overflow
-			// anyway (capacity was already granted in a previous life),
-			// waiting for a slot without holding a queue ticket.
-			s.startJob(job, nil)
-			continue
+			res = s.gate.Overflow()
 		}
 		s.startJob(job, res)
 	}
@@ -248,7 +246,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.breaker.State() == resilience.Open {
 		s.mu.Unlock()
-		w.Header().Set("Retry-After", retryAfterSeconds(s.breaker.Cooldown()))
+		w.Header().Set("Retry-After", retryAfterSeconds(resilience.Cooldown))
 		httpError(w, http.StatusServiceUnavailable, "job runner circuit open")
 		return
 	}
@@ -312,30 +310,17 @@ func (s *Server) deadlineMS(requested int64) int64 {
 	return d.Milliseconds()
 }
 
-// startJob launches the job goroutine. res may be nil (restart
-// overflow), in which case the goroutine acquires a slot directly.
+// startJob launches the job goroutine, which waits on res for a
+// running slot.
 func (s *Server) startJob(job *Job, res *resilience.Reservation) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		if res != nil {
-			if err := res.Wait(s.jobsCtx); err != nil {
-				s.finishJob(job, nil, err)
-				return
-			}
-			defer res.Release()
-		} else {
-			if err := s.gate.Acquire(s.jobsCtx); err != nil && !errors.Is(err, resilience.ErrSaturated) {
-				s.finishJob(job, nil, err)
-				return
-			} else if err == nil {
-				defer s.gate.Release()
-			}
-			// ErrSaturated cannot happen here: Acquire blocks on the
-			// running channel only after claiming a ticket, and restart
-			// overflow jobs skip the ticket path via nil res. Treat a
-			// saturated error defensively as "run unthrottled".
+		if err := res.Wait(s.jobsCtx); err != nil {
+			s.finishJob(job, nil, err)
+			return
 		}
+		defer res.Release()
 
 		s.setState(job, StateRunning, "", nil)
 		ctx, cancel := context.WithTimeoutCause(s.jobsCtx,

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"github.com/cmlasu/unsync/internal/campaign"
-	"github.com/cmlasu/unsync/internal/fault"
 	"github.com/cmlasu/unsync/internal/journal"
 )
 
@@ -31,18 +30,6 @@ const (
 type Entry struct {
 	Reason string               `json:"reason"`
 	Rec    campaign.TrialRecord `json:"rec"`
-}
-
-// DeadReason classifies a record for dead-lettering. The bool is false
-// for healthy records.
-func DeadReason(rec campaign.TrialRecord) (string, bool) {
-	if rec.Err != "" {
-		return ReasonRetryExhausted, true
-	}
-	if _, known := fault.OutcomeByName(rec.Outcome); !known {
-		return ReasonMalformed, true
-	}
-	return "", false
 }
 
 // DLQ is the dead-letter queue: an fsync'd JSONL sidecar of Entry
@@ -105,17 +92,14 @@ func ReadDLQ(path string) ([]Entry, error) {
 	return out, nil
 }
 
-// Offer dead-letters rec if it classifies as dead and has not been
-// captured before. It reports whether an entry was written (or, in
+// Offer dead-letters rec for reason (ReasonRetryExhausted or
+// ReasonMalformed; Plane classifies) unless it has been captured
+// before. It reports whether an entry was written (or, in
 // counting-only mode, counted). The write is fsync'd before return.
 // The index is claimed under the mutex and the append runs outside it,
 // so a stalled disk never blocks Close behind one fsync; a failed
 // append releases the claim.
-func (q *DLQ) Offer(rec campaign.TrialRecord) (bool, error) {
-	reason, dead := DeadReason(rec)
-	if !dead {
-		return false, nil
-	}
+func (q *DLQ) Offer(reason string, rec campaign.TrialRecord) (bool, error) {
 	q.mu.Lock()
 	if q.seen[rec.Index] {
 		q.mu.Unlock()

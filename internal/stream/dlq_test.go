@@ -16,13 +16,10 @@ func TestDLQPersistsAndReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wrote, err := q.Offer(rec(0, "benign")); wrote || err != nil {
-		t.Fatalf("healthy record dead-lettered: wrote=%v err=%v", wrote, err)
-	}
-	if wrote, err := q.Offer(failedRec(1)); !wrote || err != nil {
+	if wrote, err := q.Offer(ReasonRetryExhausted, failedRec(1)); !wrote || err != nil {
 		t.Fatalf("retry-exhausted record: wrote=%v err=%v", wrote, err)
 	}
-	if wrote, err := q.Offer(rec(2, "no-such-outcome")); !wrote || err != nil {
+	if wrote, err := q.Offer(ReasonMalformed, rec(2, "no-such-outcome")); !wrote || err != nil {
 		t.Fatalf("malformed record: wrote=%v err=%v", wrote, err)
 	}
 	if q.Depth() != 2 {
@@ -63,7 +60,7 @@ func TestDLQPersistsAndReplays(t *testing.T) {
 	if q2.Depth() != 2 {
 		t.Fatalf("replayed depth=%d, want 2", q2.Depth())
 	}
-	if wrote, err := q2.Offer(failedRec(1)); wrote || err != nil {
+	if wrote, err := q2.Offer(ReasonRetryExhausted, failedRec(1)); wrote || err != nil {
 		t.Fatalf("replayed trial re-dead-lettered: wrote=%v err=%v", wrote, err)
 	}
 	after, err := os.ReadFile(path)
@@ -83,7 +80,7 @@ func TestDLQReplayScopedToKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Offer(failedRec(0)); err != nil {
+	if _, err := q.Offer(ReasonRetryExhausted, failedRec(0)); err != nil {
 		t.Fatal(err)
 	}
 	q.Close()
@@ -98,7 +95,7 @@ func TestDLQReplayScopedToKey(t *testing.T) {
 	}
 	other := failedRec(0)
 	other.Key = "other-key"
-	if wrote, _ := q2.Offer(other); !wrote {
+	if wrote, _ := q2.Offer(ReasonRetryExhausted, other); !wrote {
 		t.Fatal("foreign replay suppressed this campaign's capture")
 	}
 }
@@ -108,7 +105,7 @@ func TestDLQCountingOnlyMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wrote, err := q.Offer(failedRec(0)); !wrote || err != nil {
+	if wrote, err := q.Offer(ReasonRetryExhausted, failedRec(0)); !wrote || err != nil {
 		t.Fatalf("counting-only offer: wrote=%v err=%v", wrote, err)
 	}
 	if q.Depth() != 1 {

@@ -10,8 +10,8 @@ import (
 // (counted per tap), so a stalled SSE reader or a wedged progress
 // writer can never slow the plane's Observe. Progress frames are
 // cosmetic — the next one supersedes the last — which is exactly the
-// traffic this tradeoff is safe for; the accounting itself (Window,
-// Tracker, DLQ) never goes through a fanout.
+// traffic this tradeoff is safe for; the accounting itself (the
+// tally, the DLQ) never goes through a fanout.
 //
 // Publish and Close follow a single-sender discipline: the plane calls
 // them only while holding its own mutex, which is what makes closing a

@@ -6,13 +6,15 @@ import (
 	"time"
 
 	"github.com/cmlasu/unsync/internal/campaign"
+	"github.com/cmlasu/unsync/internal/fault"
+	"github.com/cmlasu/unsync/internal/stats"
 )
 
 // windowSize is the plane's sliding-window length in records.
 const windowSize = 128
 
-// PlaneConfig configures a Plane. The zero value is usable: wall
-// clock, counting-only DLQ, a frame per record.
+// PlaneConfig configures a Plane. The zero value is usable:
+// counting-only DLQ, a frame per record.
 type PlaneConfig struct {
 	// DLQ is the dead-letter sidecar path; empty selects counting-only
 	// mode (depth is tracked, nothing persists).
@@ -21,10 +23,8 @@ type PlaneConfig struct {
 	// entry written by another campaign sharing the sidecar never
 	// suppresses this campaign's captures.
 	Key string
-	// Clock drives frame throttling (nil selects the wall clock).
-	Clock Clock
-	// EmitEvery is the minimum gap between published progress frames;
-	// zero publishes one per observed record.
+	// EmitEvery is the minimum wall-clock gap between published
+	// progress frames; zero publishes one per observed record.
 	EmitEvery time.Duration
 }
 
@@ -57,17 +57,79 @@ func FormatFrame(f Frame) string {
 	return s
 }
 
-// Plane composes the operators into the standard pipeline:
+// Record classes, as the campaign tally counts them.
+const (
+	classFailed = iota // harness error or unknown outcome name
+	classOK            // classified, not SDC
+	classSDC           // classified fault.OutcomeSDC
+	numClasses
+)
+
+// classify sorts a record exactly as campaign.Result.finish does and
+// names its dead-letter reason ("" for a healthy record). It is the
+// plane's only call of fault.OutcomeByName.
+func classify(rec campaign.TrialRecord) (class int, reason string) {
+	if rec.Err != "" {
+		return classFailed, ReasonRetryExhausted
+	}
+	o, known := fault.OutcomeByName(rec.Outcome)
+	switch {
+	case !known:
+		return classFailed, ReasonMalformed
+	case o == fault.OutcomeSDC:
+		return classSDC, ""
+	}
+	return classOK, ""
+}
+
+// tally is the plane's one fold of the record stream: lifetime counts
+// per class, which give the same Wilson interval campaign.Result
+// reports, and a ring of the last windowSize classes, whose SDC rate
+// shows drift that the lifetime rate has long averaged away. Failed
+// records count as done and take a window slot, but stay out of both
+// rates' denominators.
+type tally struct {
+	life [numClasses]uint64
+	win  [numClasses]int
+	ring [windowSize]uint8
+	head int // next ring slot to write
+	len  int // occupied ring slots
+}
+
+// add folds one record's class in, evicting the oldest window slot
+// once the ring is full.
+func (t *tally) add(class int) {
+	t.life[class]++
+	if t.len == windowSize {
+		t.win[t.ring[t.head]]--
+	} else {
+		t.len++
+	}
+	t.ring[t.head] = uint8(class)
+	t.win[class]++
+	t.head = (t.head + 1) % windowSize
+}
+
+// ratio is k/n, or 0 when n is 0.
+func ratio(k, n uint64) float64 {
+	if n == 0 {
+		return 0
+	}
+	return float64(k) / float64(n)
+}
+
+// Plane is the campaign's streaming results plane:
 //
-//	Observe → {Window, Tracker} → DLQ → Throttle → Fanout
+//	Observe → classify → tally → DLQ → throttle → Fanout
 //
-// Observe runs on the caller's goroutine. Window, Tracker and Throttle
-// live under one mutex, and the fanout publishes only while it is
-// held. The DLQ offer (an fsync for a dead record) runs between two
-// critical sections, never under the mutex, so a stalled disk cannot
-// wedge Snapshot and the /metrics scrape behind it. Every caller hands
-// the plane each trial exactly once: campaign.RunContext per
-// invocation, and fabric.Coordinator after its own duplicate check.
+// Observe runs on the caller's goroutine and classifies each record
+// once. The tally and the throttle live under one mutex, and the
+// fanout publishes only while it is held. The DLQ offer of a dead
+// record (an fsync) runs between two critical sections, never under
+// the mutex, so a stalled disk cannot wedge Snapshot and the /metrics
+// scrape behind it. Every caller hands the plane each trial exactly
+// once: campaign.RunContext per invocation, and fabric.Coordinator
+// after its own duplicate check.
 //
 // The plane is strictly observational — it reads records, it never
 // produces or reorders them — which is what makes Result values and
@@ -79,12 +141,14 @@ func FormatFrame(f Frame) string {
 type Plane struct {
 	dlq      *DLQ
 	fanout   *Fanout[Frame]
-	inflight sync.WaitGroup // Observe calls between their two critical sections
+	every    time.Duration    // EmitEvery
+	now      func() time.Time // frame throttling clock; tests replace it
+	inflight sync.WaitGroup   // Observe calls offering a dead record
 
 	mu       sync.Mutex // guards everything below; Fanout.Publish/Close run under it
-	window   *Window
-	tracker  *Tracker
-	throttle *Throttle
+	tally    tally
+	emitted  bool      // a throttled frame has been published
+	last     time.Time // when it was
 	firstErr error
 	closed   bool
 	dropped  uint64
@@ -99,11 +163,10 @@ func NewPlane(cfg PlaneConfig) (*Plane, error) {
 		return nil, err
 	}
 	return &Plane{
-		dlq:      dlq,
-		fanout:   NewFanout[Frame](),
-		window:   NewWindow(windowSize),
-		tracker:  NewTracker(),
-		throttle: NewThrottle(cfg.Clock, cfg.EmitEvery),
+		dlq:    dlq,
+		fanout: NewFanout[Frame](),
+		every:  cfg.EmitEvery,
+		now:    time.Now, //unsync:allow-wallclock frame throttling cadence only; never feeds a trial outcome
 	}, nil
 }
 
@@ -115,46 +178,54 @@ func (p *Plane) Observe(rec campaign.TrialRecord) {
 	if p == nil {
 		return
 	}
-	p.mu.Lock()
-	if p.closed {
-		p.dropped++
-		p.mu.Unlock()
-		return
-	}
-	p.window.Add(rec)
-	p.tracker.Add(rec)
-	p.inflight.Add(1)
-	p.mu.Unlock()
-	defer p.inflight.Done()
-
-	_, err := p.dlq.Offer(rec)
-
+	class, reason := classify(rec)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err != nil && p.firstErr == nil {
-		p.firstErr = err
+	if p.closed {
+		p.dropped++
+		return
 	}
-	if !p.closed && p.throttle.Allow() {
-		p.fanout.Publish(p.frameLocked(false))
+	p.tally.add(class)
+	if reason != "" {
+		p.inflight.Add(1)
+		p.mu.Unlock()
+		_, err := p.dlq.Offer(reason, rec)
+		p.mu.Lock()
+		p.inflight.Done()
+		if err != nil && p.firstErr == nil {
+			p.firstErr = err
+		}
+		if p.closed {
+			return
+		}
 	}
+	if p.every > 0 {
+		now := p.now()
+		if p.emitted && now.Sub(p.last) < p.every {
+			return
+		}
+		p.emitted, p.last = true, now
+	}
+	p.fanout.Publish(p.frameLocked(false))
 }
 
 // frameLocked builds a Frame; p.mu must be held.
 func (p *Plane) frameLocked(final bool) Frame {
-	c := p.tracker.Snapshot()
-	return Frame{
-		Done:       c.Done,
-		Failed:     c.Failed,
-		Rate:       c.Rate,
-		Lo:         c.Lo,
-		Hi:         c.Hi,
-		Width:      c.Width,
-		WindowLen:  p.window.Len(),
-		WindowRate: p.window.Rate(),
+	t := &p.tally
+	n, k := t.life[classOK]+t.life[classSDC], t.life[classSDC]
+	fr := Frame{
+		Done:       n + t.life[classFailed],
+		Failed:     t.life[classFailed],
+		Rate:       ratio(k, n),
+		WindowLen:  t.len,
+		WindowRate: ratio(uint64(t.win[classSDC]), uint64(t.win[classOK]+t.win[classSDC])),
 		DLQDepth:   p.dlq.Depth(),
 		Dropped:    p.dropped,
 		Final:      final,
 	}
+	fr.Lo, fr.Hi = stats.Wilson(k, n, campaign.Z)
+	fr.Width = fr.Hi - fr.Lo
+	return fr
 }
 
 // Snapshot returns the current progress frame. Nil-safe (zero frame).

@@ -14,6 +14,7 @@ import (
 
 	"github.com/cmlasu/unsync/internal/asm"
 	"github.com/cmlasu/unsync/internal/campaign"
+	"github.com/cmlasu/unsync/internal/stats"
 )
 
 // checksumProgram mirrors the campaign test workload: enough live
@@ -47,7 +48,7 @@ sum:
 buf: .space 256
 `
 
-// rec builds a minimal classified trial record for operator tests.
+// rec builds a minimal classified trial record for plane tests.
 func rec(idx int, outcome string) campaign.TrialRecord {
 	return campaign.TrialRecord{
 		Key:      "k",
@@ -281,8 +282,9 @@ func TestPlaneStalledSubscriberCannotDelayObserve(t *testing.T) {
 	}
 }
 
-// Retry-exhausted records land in the sidecar with their full attempt
-// chain, and a second plane over the same sidecar replays them instead
+// Retry-exhausted and malformed records land in the sidecar, each
+// under its reason and with the full attempt chain; a healthy record
+// does not. A second plane over the same sidecar replays them instead
 // of re-capturing.
 func TestPlaneDeadLettersWithChain(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dlq.jsonl")
@@ -292,17 +294,18 @@ func TestPlaneDeadLettersWithChain(t *testing.T) {
 	}
 	plane.Observe(failedRec(3))
 	plane.Observe(rec(4, "benign"))
+	plane.Observe(rec(5, "no-such-outcome"))
 	if err := plane.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if plane.DLQDepth() != 1 {
-		t.Fatalf("DLQDepth=%d, want 1", plane.DLQDepth())
+	if plane.DLQDepth() != 2 {
+		t.Fatalf("DLQDepth=%d, want 2", plane.DLQDepth())
 	}
 	entries, err := ReadDLQ(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Reason != ReasonRetryExhausted {
+	if len(entries) != 2 || entries[0].Reason != ReasonRetryExhausted || entries[1].Reason != ReasonMalformed {
 		t.Fatalf("sidecar entries: %+v", entries)
 	}
 	if len(entries[0].Rec.AttemptErrs) != 2 {
@@ -317,14 +320,14 @@ func TestPlaneDeadLettersWithChain(t *testing.T) {
 	if err := plane2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if plane2.DLQDepth() != 1 {
-		t.Fatalf("restarted plane depth=%d, want 1 (replayed, not re-captured)", plane2.DLQDepth())
+	if plane2.DLQDepth() != 2 {
+		t.Fatalf("restarted plane depth=%d, want 2 (replayed, not re-captured)", plane2.DLQDepth())
 	}
 	entries, err = ReadDLQ(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 {
+	if len(entries) != 2 {
 		t.Fatalf("sidecar grew to %d entries on replay", len(entries))
 	}
 }
@@ -413,11 +416,11 @@ func TestPlaneNilSafe(t *testing.T) {
 // and no time advancing, a burst publishes at most the first frame —
 // then Close always delivers the final state.
 func TestPlaneThrottledFramesUnderFakeClock(t *testing.T) {
-	clk := NewFakeClock(time.Unix(0, 0))
-	plane, err := NewPlane(PlaneConfig{Clock: clk, EmitEvery: 100 * time.Millisecond})
+	plane, err := NewPlane(PlaneConfig{EmitEvery: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fakeNow(plane)
 	tap := plane.Subscribe(64)
 	for i := 0; i < 50; i++ {
 		plane.Observe(rec(i, "benign"))
@@ -437,5 +440,90 @@ func TestPlaneThrottledFramesUnderFakeClock(t *testing.T) {
 	last := frames[len(frames)-1]
 	if !last.Final || last.Done != 50 {
 		t.Fatalf("final frame %+v, want Final done=50", last)
+	}
+}
+
+// The plane classifies records exactly as campaign.Result.finish does:
+// harness errors and unknown outcome names are failed, everything else
+// feeds the Wilson interval on the SDC rate.
+func TestTrackerMatchesCampaignClassification(t *testing.T) {
+	p, err := NewPlane(PlaneConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Observe(rec(0, "sdc"))
+	p.Observe(rec(1, "benign"))
+	p.Observe(failedRec(2))
+	p.Observe(rec(3, "no-such-outcome"))
+	fr := p.Snapshot()
+	if fr.Done != 4 || fr.Failed != 2 || fr.DLQDepth != 2 {
+		t.Fatalf("done=%d failed=%d dlq=%d, want 4, 2, 2", fr.Done, fr.Failed, fr.DLQDepth)
+	}
+	if fr.Rate != 0.5 {
+		t.Fatalf("rate=%v, want 0.5 (1 sdc over 2 successful)", fr.Rate)
+	}
+	lo, hi := stats.Wilson(1, 2, 1.96)
+	if fr.Lo != lo || fr.Hi != hi || fr.Width != hi-lo {
+		t.Fatalf("interval [%v,%v] width %v, want Wilson(1,2,1.96) = [%v,%v]", fr.Lo, fr.Hi, fr.Width, lo, hi)
+	}
+}
+
+func TestTrackerEmptySnapshot(t *testing.T) {
+	p, err := NewPlane(PlaneConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := p.Snapshot()
+	lo, hi := stats.Wilson(0, 0, 1.96)
+	if fr.Done != 0 || fr.Rate != 0 || fr.WindowLen != 0 || fr.Lo != lo || fr.Hi != hi {
+		t.Fatalf("empty plane snapshot %+v, want zero counts and Wilson(0,0)", fr)
+	}
+}
+
+// The window holds the last 128 records: the 129th evicts the first,
+// so the windowed rate forgets an early SDC the lifetime rate keeps.
+func TestWindowSlidingEviction(t *testing.T) {
+	p, err := NewPlane(PlaneConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Observe(rec(0, "sdc"))
+	for i := 1; i < 128; i++ {
+		p.Observe(rec(i, "benign"))
+	}
+	if fr := p.Snapshot(); fr.WindowLen != 128 || fr.WindowRate != 1.0/128 {
+		t.Fatalf("full window: len=%d rate=%v, want 128, 1/128", fr.WindowLen, fr.WindowRate)
+	}
+	p.Observe(rec(128, "benign"))
+	fr := p.Snapshot()
+	if fr.WindowLen != 128 || fr.WindowRate != 0 {
+		t.Fatalf("after eviction: len=%d rate=%v, want 128, 0", fr.WindowLen, fr.WindowRate)
+	}
+	if fr.Rate != 1.0/129 {
+		t.Fatalf("lifetime rate=%v, want 1/129", fr.Rate)
+	}
+}
+
+// Failed and malformed records occupy a window slot but never enter
+// the rate denominator — mirroring the campaign tally.
+func TestWindowExcludesFailedFromRate(t *testing.T) {
+	p, err := NewPlane(PlaneConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Observe(rec(0, "sdc"))
+	p.Observe(failedRec(1))
+	if fr := p.Snapshot(); fr.WindowLen != 2 || fr.WindowRate != 1.0 {
+		t.Fatalf("sdc+failed: len=%d rate=%v, want 2, 1.0", fr.WindowLen, fr.WindowRate)
+	}
+	for i := 2; i <= 128; i++ {
+		p.Observe(rec(i, "no-such-outcome")) // malformed; the last evicts the sdc slot
+	}
+	fr := p.Snapshot()
+	if fr.WindowLen != 128 || fr.WindowRate != 0 {
+		t.Fatalf("after evicting the only ok record: len=%d rate=%v, want 128, 0", fr.WindowLen, fr.WindowRate)
+	}
+	if fr.Done != 129 || fr.Failed != 128 || fr.Rate != 1.0 {
+		t.Fatalf("lifetime done=%d failed=%d rate=%v, want 129, 128, 1.0", fr.Done, fr.Failed, fr.Rate)
 	}
 }

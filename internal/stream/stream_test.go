@@ -1,41 +1,78 @@
 package stream
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
 
-// The throttle is driven entirely by its injected clock, so the
+// fakeNow replaces the plane's throttling clock with one the test
+// advances by hand. Observe runs on the test goroutine, so the clock
+// needs no lock.
+func fakeNow(p *Plane) (advance func(time.Duration)) {
+	now := time.Unix(0, 0)
+	p.now = func() time.Time { return now }
+	return func(d time.Duration) { now = now.Add(d) }
+}
+
+// frameDones closes the plane and returns the Done count of every
+// frame the tap received, the final frame last.
+func frameDones(t *testing.T, p *Plane, tap *Tap[Frame]) []uint64 {
+	t.Helper()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var dones []uint64
+	var last Frame
+	for fr := range tap.C {
+		dones = append(dones, fr.Done)
+		last = fr
+	}
+	if !last.Final {
+		t.Fatalf("tap closed without the final frame: %+v", last)
+	}
+	return dones
+}
+
+// Frame throttling is driven entirely by the plane's clock, so the
 // -progress cadence is deterministic in tests: same advances, same
 // emissions, byte-for-byte identical readouts.
 func TestThrottleDeterministicUnderFakeClock(t *testing.T) {
-	clk := NewFakeClock(time.Unix(0, 0))
-	th := NewThrottle(clk, 100*time.Millisecond)
-	if !th.Allow() {
-		t.Fatal("first emission must always pass")
+	p, err := NewPlane(PlaneConfig{EmitEvery: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if th.Allow() {
-		t.Fatal("second emission passed with no time elapsed")
-	}
-	clk.Advance(50 * time.Millisecond)
-	if th.Allow() {
-		t.Fatal("emission passed at half the interval")
-	}
-	clk.Advance(60 * time.Millisecond)
-	if !th.Allow() {
-		t.Fatal("emission refused after the interval elapsed")
-	}
-	if th.Allow() {
-		t.Fatal("slot not consumed by the allowed emission")
+	advance := fakeNow(p)
+	tap := p.Subscribe(16)
+	p.Observe(rec(0, "benign")) // the first frame always passes
+	p.Observe(rec(1, "benign")) // no time elapsed
+	advance(50 * time.Millisecond)
+	p.Observe(rec(2, "benign")) // half the interval
+	advance(60 * time.Millisecond)
+	p.Observe(rec(3, "benign")) // the interval elapsed
+	p.Observe(rec(4, "benign")) // the slot was consumed
+	if got, want := frameDones(t, p, tap), []uint64{1, 4, 5}; !slices.Equal(got, want) {
+		t.Fatalf("frames at done=%v, want %v (then the final)", got, want)
 	}
 }
 
+// A zero EmitEvery publishes one frame per record and never reads the
+// clock.
 func TestThrottleZeroIntervalAllowsAll(t *testing.T) {
-	th := NewThrottle(NewFakeClock(time.Unix(0, 0)), 0)
+	p, err := NewPlane(PlaneConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.now = func() time.Time {
+		t.Fatal("unthrottled plane read the clock")
+		return time.Time{}
+	}
+	tap := p.Subscribe(16)
 	for i := 0; i < 3; i++ {
-		if !th.Allow() {
-			t.Fatalf("emission %d refused under a zero interval", i)
-		}
+		p.Observe(rec(i, "benign"))
+	}
+	if got, want := frameDones(t, p, tap), []uint64{1, 2, 3, 3}; !slices.Equal(got, want) {
+		t.Fatalf("frames at done=%v, want %v (one per record, then the final)", got, want)
 	}
 }
 
