@@ -30,11 +30,13 @@
 package campaign
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -464,7 +466,7 @@ func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, erro
 					done++
 				}
 			}
-			aggErr := res.finish(recs, done, spec)
+			aggErr := res.finish(recs, done)
 			if cancelled {
 				return res, errors.Join(ErrInterrupted, context.Cause(ctx), mapErr, aggErr)
 			}
@@ -492,10 +494,10 @@ func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, erro
 				done++
 			}
 		}
-		err := res.finish(recs, done, spec)
+		err := res.finish(recs, done)
 		return res, errors.Join(ErrInterrupted, err)
 	}
-	return res, res.finish(recs, res.Ran, spec)
+	return res, res.finish(recs, res.Ran)
 }
 
 // lineBufs recycles the per-chunk journal buffers across workers.
@@ -541,40 +543,99 @@ func journalChunk(jn *journal.Log, crecs []TrialRecord, observe func(TrialRecord
 // finish aggregates the first `ran` trial records into the Result in
 // index order (never worker-completion order) and returns the joined
 // per-trial errors.
-func (r *Result) finish(recs []*TrialRecord, ran int, spec Spec) error {
-	r.Ran = ran
-	var errs []error
-	seen := 0
-	for i := 0; i < len(recs) && seen < ran; i++ {
-		rec := recs[i]
-		if rec == nil {
-			continue
+func (r *Result) finish(recs []*TrialRecord, ran int) error {
+	f := Fold{res: *r}
+	f.res.Ran = 0
+	for i := 0; i < len(recs) && f.res.Ran < ran; i++ {
+		if recs[i] != nil {
+			f.Add(recs[i])
 		}
-		seen++
-		if rec.Err != "" {
-			r.Failed++
-			if len(rec.AttemptErrs) > 0 {
-				// Surface the full retry chain, not just the terminal
-				// attempt — each reseeded site failed differently and
-				// the earlier causes are what make the failure
-				// diagnosable.
-				errs = append(errs, fmt.Errorf("campaign: trial %d: %s [%s]",
-					rec.Index, rec.Err, strings.Join(rec.AttemptErrs, "; ")))
-			} else {
-				errs = append(errs, fmt.Errorf("campaign: trial %d: %s", rec.Index, rec.Err))
-			}
-			continue
+	}
+	var err error
+	*r, err = f.Result()
+	return err
+}
+
+// Fold builds a campaign Result from trial records added one at a time
+// in any order: the tallies are counts, and Result sorts the failed
+// trials' errors by index, so the Result and its error equal those of
+// a single-node run over the same records, bit for bit. It is the one
+// aggregation path: finish folds a single-node run's records, and the
+// fleet coordinator folds each record as it arrives.
+type Fold struct {
+	res    Result
+	spaces []spaceTally // BySpace, in first-seen order
+	errs   []trialErr
+}
+
+// spaceTally is one fault space's share of the tally. A campaign draws
+// from a handful of spaces, so a scan beats hashing each record's name.
+type spaceTally struct {
+	name  string
+	tally fault.CampaignResult
+}
+
+// trialErr is one failed trial's error, kept with its index for the
+// final sort.
+type trialErr struct {
+	index int
+	err   error
+}
+
+// NewFold starts the Fold of spec's campaign over the program with hash
+// progHash.
+func NewFold(spec Spec, progHash string) Fold {
+	spec = spec.withDefaults()
+	return Fold{res: Result{
+		Scheme:    spec.Scheme,
+		Prog:      progHash,
+		Seed:      spec.Seed,
+		Requested: spec.Trials,
+	}}
+}
+
+// Add folds one record in. Each trial must be added at most once.
+func (f *Fold) Add(rec *TrialRecord) {
+	f.res.Ran++
+	if rec.Err != "" {
+		f.res.Failed++
+		var err error
+		if len(rec.AttemptErrs) > 0 {
+			// Surface the full retry chain, not just the terminal
+			// attempt — each reseeded site failed differently and the
+			// earlier causes are what make the failure diagnosable.
+			err = fmt.Errorf("campaign: trial %d: %s [%s]",
+				rec.Index, rec.Err, strings.Join(rec.AttemptErrs, "; "))
+		} else {
+			err = fmt.Errorf("campaign: trial %d: %s", rec.Index, rec.Err)
 		}
-		o, ok := fault.OutcomeByName(rec.Outcome)
-		if !ok {
-			r.Failed++
-			errs = append(errs, fmt.Errorf("campaign: trial %d: bad journaled outcome %q", rec.Index, rec.Outcome))
-			continue
+		f.errs = append(f.errs, trialErr{rec.Index, err})
+		return
+	}
+	o, ok := fault.OutcomeByName(rec.Outcome)
+	if !ok {
+		f.res.Failed++
+		f.errs = append(f.errs, trialErr{rec.Index, fmt.Errorf("campaign: trial %d: bad journaled outcome %q", rec.Index, rec.Outcome)})
+		return
+	}
+	f.res.Tally.Add(o)
+	for i := range f.spaces {
+		if f.spaces[i].name == rec.Space {
+			f.spaces[i].tally.Add(o)
+			return
 		}
-		r.Tally.Add(o)
-		by := r.BySpace[rec.Space]
-		by.Add(o)
-		r.BySpace[rec.Space] = by
+	}
+	f.spaces = append(f.spaces, spaceTally{name: rec.Space})
+	f.spaces[len(f.spaces)-1].tally.Add(o)
+}
+
+// Result completes the fold: Ran counts the records added, and the
+// error joins every failed trial's error in index order.
+func (f *Fold) Result() (Result, error) {
+	r := f.res
+	r.BySpace = make(map[string]fault.CampaignResult, len(f.spaces))
+	for _, sp := range f.spaces {
+		r.BySpace[sp.name] = sp.tally
 	}
 	if n := uint64(r.Tally.Trials); n > 0 {
 		r.SDCRate = float64(r.Tally.SDC) / float64(n)
@@ -590,7 +651,12 @@ func (r *Result) finish(recs []*TrialRecord, ran int, spec Spec) error {
 		events.CampaignSDC:           uint64(r.Tally.SDC),
 		events.CampaignHang:          uint64(r.Tally.Hangs),
 	}
-	return errors.Join(errs...)
+	slices.SortFunc(f.errs, func(a, b trialErr) int { return cmp.Compare(a.index, b.index) })
+	errs := make([]error, len(f.errs))
+	for i, e := range f.errs {
+		errs[i] = e.err
+	}
+	return r, errors.Join(errs...)
 }
 
 // sdcOf counts (SDC trials, successful trials) over a record prefix.

@@ -78,7 +78,8 @@ func (r TrialRecord) Equal(o TrialRecord) bool {
 func loadJournal(path, key, prog string, trials int) (recs []TrialRecord, n int, foreign map[string]int, err error) {
 	foreign = make(map[string]int)
 	err = journal.ReplayDecode(path, func(raw []byte, rec *TrialRecord) error {
-		return rec.DecodeKeyed(raw, key, prog)
+		_, err := rec.DecodeKeyed(raw, key, prog)
+		return err
 	}, func(rec TrialRecord) error {
 		switch {
 		case rec.Key == key:

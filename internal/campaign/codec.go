@@ -92,20 +92,31 @@ func (r *TrialRecord) plain() bool {
 	return true
 }
 
-// plainString reports whether json.Marshal writes s verbatim: printable
-// ASCII other than '"' and '\\', and other than the HTML-sensitive
-// '<', '>' and '&' it escapes by default. Non-ASCII bytes are never
-// plain, which also keeps U+2028, U+2029 and invalid UTF-8 on the
-// encoding/json path.
+// plainString reports whether json.Marshal writes s verbatim: every
+// byte is a plainByte.
 func plainString(s string) bool {
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20, c >= 0x80, c == '"', c == '\\', c == '<', c == '>', c == '&':
+		if !plainByte[s[i]] {
 			return false
 		}
 	}
 	return true
 }
+
+// plainByte marks the bytes json.Marshal writes verbatim inside a
+// string: printable ASCII other than '"' and '\\', and other than the
+// HTML-sensitive '<', '>' and '&' it escapes by default. Non-ASCII
+// bytes are never plain, which also keeps U+2028, U+2029 and invalid
+// UTF-8 on the encoding/json path.
+var plainByte = func() (t [256]bool) {
+	for c := 0x20; c < 0x80; c++ {
+		t[c] = true
+	}
+	for _, c := range `"\<>&` {
+		t[c] = false
+	}
+	return t
+}()
 
 // DecodeJSON decodes one JSON-encoded record into r exactly as
 // json.Unmarshal(raw, r) would: the same value and the same error. The
@@ -113,39 +124,46 @@ func plainString(s string) bool {
 // another field order, whitespace, escapes, non-ASCII bytes, numbers
 // out of range, a torn line — goes to json.Unmarshal.
 func (r *TrialRecord) DecodeJSON(raw []byte) error {
-	return r.DecodeKeyed(raw, "", "")
+	_, err := r.DecodeKeyed(raw, "", "")
+	return err
 }
 
 // DecodeKeyed is DecodeJSON for a reader that expects key and prog (a
 // checkpoint resume, a fleet coordinator): a canonical line whose Key
 // and Prog bytes equal them gets those strings instead of a copy, so
-// decoding a matching record allocates nothing for them.
-func (r *TrialRecord) DecodeKeyed(raw []byte, key, prog string) error {
+// decoding a matching record allocates nothing for them. canonical
+// reports that raw is byte for byte the AppendJSON encoding of the
+// record it holds, so a reader may keep raw instead of re-encoding the
+// record. Decoded into a zero record, that record is r itself.
+func (r *TrialRecord) DecodeKeyed(raw []byte, key, prog string) (canonical bool, err error) {
 	// Decode into a copy so a half-parsed line never leaks into r, and
 	// fields the line omits keep r's values, as with json.Unmarshal.
 	t := *r
 	if t.decodeCanonical(raw, key, prog) {
 		*r = t
-		return nil
+		return true, nil
 	}
-	return json.Unmarshal(raw, r)
+	return false, json.Unmarshal(raw, r)
 }
 
-// internedNames maps every fault space and outcome name to one shared
-// string, so decoding a record allocates neither.
-var internedNames = func() map[string]string {
-	m := make(map[string]string)
-	for sp := fault.Space(0); sp < fault.NumSpaces; sp++ {
-		m[sp.String()] = sp.String()
+// spaceNames and outcomeNames hold every fault space and outcome name,
+// so decoding a record allocates neither: a scan of a handful of short
+// strings beats hashing the name.
+var spaceNames, outcomeNames = func() (sp, out []string) {
+	for s := fault.Space(0); s < fault.NumSpaces; s++ {
+		sp = append(sp, s.String())
 	}
 	for o := fault.Outcome(0); o < fault.NumOutcomes; o++ {
-		m[o.String()] = o.String()
+		out = append(out, o.String())
 	}
-	return m
+	return sp, out
 }()
 
 // decodeCanonical parses raw in the canonical form into r, reporting
-// false at the first byte that departs from it. Key and Prog reuse key
+// false at the first byte that departs from it. The form is strict: it
+// accepts exactly the lines AppendJSON writes, so an omitempty field
+// written with its zero value, an index of -0 or a string AppendJSON
+// would hand to encoding/json is not canonical. Key and Prog reuse key
 // and prog when the line's bytes match both.
 func (r *TrialRecord) decodeCanonical(raw []byte, key, prog string) bool {
 	d := canonDecoder{b: raw}
@@ -176,12 +194,12 @@ func (r *TrialRecord) decodeCanonical(raw []byte, key, prog string) bool {
 	if r.Index, ok = d.int(); !ok || !d.lit(`,"space":`) {
 		return false
 	}
-	if r.Space, ok = d.name(); !ok {
+	if r.Space, ok = d.name(spaceNames); !ok {
 		return false
 	}
 	if d.lit(`,"reg":`) {
 		v, ok := d.uint(math.MaxUint8)
-		if !ok {
+		if !ok || v == 0 {
 			return false
 		}
 		r.Reg = uint8(v)
@@ -195,7 +213,7 @@ func (r *TrialRecord) decodeCanonical(raw []byte, key, prog string) bool {
 	}
 	r.Bit = uint8(v)
 	if d.lit(`,"addr":`) {
-		if r.Addr, ok = d.uint(math.MaxUint64); !ok {
+		if r.Addr, ok = d.uint(math.MaxUint64); !ok || r.Addr == 0 {
 			return false
 		}
 	}
@@ -220,19 +238,22 @@ func (r *TrialRecord) decodeCanonical(raw []byte, key, prog string) bool {
 		return false
 	}
 	if d.lit(`,"outcome":`) {
-		if r.Outcome, ok = d.name(); !ok {
+		if r.Outcome, ok = d.name(outcomeNames); !ok || r.Outcome == "" {
 			return false
 		}
 	}
 	if d.lit(`,"err":`) {
 		s, e, ok := d.str()
-		if !ok {
+		if !ok || s == e {
 			return false
 		}
 		r.Err = string(raw[s:e])
 	}
 	if d.lit(`,"attempt_errs":[`) {
-		errs := []string{}
+		if d.lit("]") {
+			return false
+		}
+		var errs []string
 		for !d.lit("]") {
 			if len(errs) > 0 && !d.lit(",") {
 				return false
@@ -264,34 +285,35 @@ func (d *canonDecoder) lit(s string) bool {
 	return true
 }
 
-// str consumes a quoted string free of escapes, control bytes and
-// non-ASCII bytes, and returns the bounds of its contents.
+// str consumes a quoted string of plain bytes, the strings AppendJSON
+// writes itself, and returns the bounds of its contents.
 func (d *canonDecoder) str() (start, end int, ok bool) {
 	if d.i >= len(d.b) || d.b[d.i] != '"' {
 		return 0, 0, false
 	}
 	start = d.i + 1
 	for j := start; j < len(d.b); j++ {
-		switch c := d.b[j]; {
-		case c == '"':
+		if c := d.b[j]; c == '"' {
 			d.i = j + 1
 			return start, j, true
-		case c < 0x20, c >= 0x80, c == '\\':
+		} else if !plainByte[c] {
 			return 0, 0, false
 		}
 	}
 	return 0, 0, false
 }
 
-// name consumes a string and returns it, interned when it is a fault
-// space or outcome name.
-func (d *canonDecoder) name() (string, bool) {
+// name consumes a string and returns it, as the shared string when it
+// is one of names.
+func (d *canonDecoder) name(names []string) (string, bool) {
 	s, e, ok := d.str()
 	if !ok {
 		return "", false
 	}
-	if n, ok := internedNames[string(d.b[s:e])]; ok {
-		return n, true
+	for _, n := range names {
+		if n == string(d.b[s:e]) {
+			return n, true
+		}
 	}
 	return string(d.b[s:e]), true
 }
@@ -316,11 +338,11 @@ func (d *canonDecoder) uint(max uint64) (uint64, bool) {
 	return v, d.i > start
 }
 
-// int consumes an integer in the range of int.
+// int consumes an integer in the range of int; -0 is not canonical.
 func (d *canonDecoder) int() (int, bool) {
 	if d.lit("-") {
 		v, ok := d.uint(uint64(math.MaxInt) + 1)
-		return int(-v), ok
+		return int(-v), ok && v != 0
 	}
 	v, ok := d.uint(math.MaxInt)
 	return int(v), ok

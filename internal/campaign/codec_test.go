@@ -82,6 +82,8 @@ func codecInputs() [][]byte {
 		`{"key":"k","prog":"p","seed":7,"i":3,"space":"mem","bit":9,"addr":65544,"step":12,"detected":false,"attempts":2,"err":"x","attempt_errs":["a","b"]}`,
 		`{"key":"","prog":"","seed":0,"i":0,"space":"","bit":0,"step":0,"detected":false,"attempts":0}`,
 		`{"key":"k","prog":"p","seed":0,"i":-0,"space":"pc","reg":0,"bit":0,"addr":0,"step":0,"detected":true,"attempts":1,"outcome":""}`,
+		`{"key":"k","prog":"p","seed":7,"i":3,"space":"x","bit":1,"step":1,"detected":true,"attempts":1,"err":""}`,
+		`{"key":"k","prog":"p","seed":7,"i":3,"space":"x","bit":1,"step":1,"detected":true,"attempts":-0}`,
 		`{"key":"k","prog":"p","seed":18446744073709551615,"i":-9223372036854775808,"space":"x","bit":255,"step":1,"detected":true,"attempts":9223372036854775807}`,
 		`{"key":"k","prog":"p","seed":18446744073709551616,"i":3,"space":"x","bit":9,"step":1,"detected":true,"attempts":1}`,
 		`{"key":"k","prog":"p","seed":7,"i":9223372036854775808,"space":"x","bit":9,"step":1,"detected":true,"attempts":1}`,
@@ -145,6 +147,33 @@ func TestDecodeJSONMatchesUnmarshal(t *testing.T) {
 	}
 }
 
+// The decoder reports a line canonical only when it is AppendJSON's
+// encoding: each of these decodes like its canonical twin through
+// encoding/json but is not byte-identical to it.
+func TestDecodeKeyedReportsCanonical(t *testing.T) {
+	const canon = `{"key":"k","prog":"p","seed":7,"i":3,"space":"mem","bit":1,"step":1,"detected":true,"attempts":1,"outcome":"benign"}`
+	var rec TrialRecord
+	if ok, err := rec.DecodeKeyed([]byte(canon), "", ""); !ok || err != nil {
+		t.Fatalf("canonical line: canonical=%v err=%v", ok, err)
+	}
+	for _, raw := range []string{
+		`{"key":"k","prog":"p","seed":7,"i":3,"space":"mem","reg":0,"bit":1,"step":1,"detected":true,"attempts":1,"outcome":"benign"}`,
+		`{"key":"k","prog":"p","seed":7,"i":3,"space":"mem","bit":1,"addr":0,"step":1,"detected":true,"attempts":1,"outcome":"benign"}`,
+		`{"key":"k","prog":"p","seed":7,"i":3,"space":"mem","bit":1,"step":1,"detected":true,"attempts":1,"outcome":""}`,
+		`{"key":"k","prog":"p","seed":7,"i":3,"space":"mem","bit":1,"step":1,"detected":true,"attempts":1,"outcome":"benign","err":""}`,
+		`{"key":"k","prog":"p","seed":7,"i":3,"space":"mem","bit":1,"step":1,"detected":true,"attempts":1,"outcome":"benign","attempt_errs":[]}`,
+		`{"key":"k","prog":"p","seed":7,"i":-0,"space":"mem","bit":1,"step":1,"detected":true,"attempts":1,"outcome":"benign"}`,
+		`{"key":"k<","prog":"p","seed":7,"i":3,"space":"mem","bit":1,"step":1,"detected":true,"attempts":1,"outcome":"benign"}`,
+		`{"key":"k","prog":"p","seed":7,"i":3,"space":"mem","bit":1,"step":1,"detected":true,"attempts":1,"outcome":"benign","err":"a > b"}`,
+		`{"key":"k","prog":"p","seed":7,"i":3,"space":"mem","bit":1,"step":1,"detected":true,"attempts":1,"outcome":"benign","err":"a&b"}`,
+	} {
+		rec = TrialRecord{}
+		if ok, err := rec.DecodeKeyed([]byte(raw), "", ""); ok || err != nil {
+			t.Fatalf("%s: canonical=%v err=%v, want a non-canonical decode", raw, ok, err)
+		}
+	}
+}
+
 // checkDecode asserts DecodeJSON and json.Unmarshal agree on raw: the
 // same error text and the same value, both into a zero record and into
 // one whose fields the line may leave untouched. DecodeKeyed, given the
@@ -165,9 +194,16 @@ func checkDecode(t *testing.T, raw []byte) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("DecodeJSON(%q):\n got %#v\nwant %#v", raw, got, want)
 		}
-		kerr := keyed.DecodeKeyed(raw, want.Key, want.Prog)
+		canonical, kerr := keyed.DecodeKeyed(raw, want.Key, want.Prog)
 		if fmt.Sprint(kerr) != fmt.Sprint(werr) || !reflect.DeepEqual(keyed, want) {
 			t.Fatalf("DecodeKeyed(%q): %v %#v, json.Unmarshal: %v %#v", raw, kerr, keyed, werr, want)
+		}
+		// A line reported canonical is the record's encoding byte for
+		// byte, so a reader may keep it in place of re-encoding.
+		if canonical && start.Key == "" {
+			if enc := keyed.AppendJSON(nil); !bytes.Equal(enc, raw) {
+				t.Fatalf("DecodeKeyed(%q) reported canonical, but AppendJSON gives %s", raw, enc)
+			}
 		}
 	}
 }

@@ -255,3 +255,33 @@ func TestCampaignUsesEveryWorker(t *testing.T) {
 		t.Fatalf("at most %d observer calls in flight with 4 workers, want 3", p)
 	}
 }
+
+// A Fold over a campaign's records in any arrival order gives the
+// Result and the joined error a single-node run reports: the tallies
+// are counts, and failed trials' errors are joined in index order.
+func TestFoldMatchesRunInAnyOrder(t *testing.T) {
+	prog := mustProg(t, testProgram)
+	orig := executeTrial
+	defer func() { executeTrial = orig }()
+	executeTrial = func(ctx context.Context, prog *asm.Program, g *emu.Machine, spec Spec, step uint64, f fault.Flip) (fault.Outcome, bool, error) {
+		if step%3 == 0 {
+			return 0, false, fmt.Errorf("injected harness fault at step %d", step)
+		}
+		return orig(ctx, prog, g, spec, step, f)
+	}
+	var c collector
+	spec := Spec{Scheme: SchemeUnSync, Trials: 60, Seed: 7, MaxSteps: 20_000, Workers: 1, Batch: 1, Observer: c.observe}
+	want, wantErr := Run(prog, spec)
+	recs := c.recs // one worker delivers in index order
+	if want.Failed == 0 || want.Failed == want.Ran {
+		t.Fatalf("want a mix of failed and classified trials, got %d of %d failed", want.Failed, want.Ran)
+	}
+	fold := NewFold(spec, ProgHash(prog))
+	for i := len(recs) - 1; i >= 0; i-- {
+		fold.Add(&recs[i])
+	}
+	got, err := fold.Result()
+	if !reflect.DeepEqual(got, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("reverse-order fold: %+v\n%v\nrun: %+v\n%v", got, err, want, wantErr)
+	}
+}

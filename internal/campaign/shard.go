@@ -75,36 +75,3 @@ func RunShard(ctx context.Context, prog *asm.Program, spec Spec, lo, hi int, ski
 	})
 	return mapErr
 }
-
-// AggregateRecords rebuilds the campaign Result that a completed
-// single-node run over the same trial records would report: the same
-// tally, per-space split, Wilson interval and event counters, bit for
-// bit. recs must hold exactly one record per trial index in
-// [0, spec.Trials) — the merge layer's dedupe and completeness check
-// run first — and every record must carry the spec's params key.
-func AggregateRecords(spec Spec, progHash string, recs []*TrialRecord) (Result, error) {
-	spec = spec.withDefaults()
-	res := Result{
-		Scheme:    spec.Scheme,
-		Prog:      progHash,
-		Seed:      spec.Seed,
-		Requested: spec.Trials,
-		BySpace:   make(map[string]fault.CampaignResult),
-	}
-	if len(recs) != spec.Trials {
-		return res, fmt.Errorf("campaign: aggregate wants %d records, got %d", spec.Trials, len(recs))
-	}
-	key := spec.Key(progHash)
-	for i, rec := range recs {
-		if rec == nil {
-			return res, fmt.Errorf("campaign: aggregate missing record for trial %d", i)
-		}
-		if rec.Index != i {
-			return res, fmt.Errorf("campaign: aggregate record %d carries index %d; records must be in trial order", i, rec.Index)
-		}
-		if rec.Key != key {
-			return res, fmt.Errorf("%w: record %d carries key %s, want %s", ErrKeyMismatch, i, rec.Key, key)
-		}
-	}
-	return res, res.finish(recs, spec.Trials, spec)
-}

@@ -36,12 +36,15 @@
 package fabric
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -171,11 +174,19 @@ type Coordinator struct {
 	key      string
 	jn       *journal.Log
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	shards    []*shard
-	nextID    int
-	done      map[int]*campaign.TrialRecord
+	// resumed holds the journal-resumed records in index order until
+	// replayPlane hands them to the plane.
+	resumed []campaign.TrialRecord
+
+	mu     sync.Mutex
+	cond   *sync.Cond
+	shards []*shard
+	nextID int
+	// done maps each received trial to its record's canonical line
+	// (TrialRecord.AppendJSON's bytes, no newline): the dedupe key and
+	// the merged journal's line. fold tallies the same records.
+	done      map[int]string
+	fold      campaign.Fold
 	received  int  // newly received records this run (StopAfter counter)
 	complete  bool // every trial received
 	stopped   bool // run context cancelled (complete, fatal, or external)
@@ -223,7 +234,8 @@ func New(cfg Config) (*Coordinator, error) {
 		spec:     spec,
 		progHash: progHash,
 		key:      key,
-		done:     map[int]*campaign.TrialRecord{},
+		done:     make(map[int]string, spec.Trials),
+		fold:     campaign.NewFold(spec, progHash),
 	}
 	c.cond = sync.NewCond(&c.mu)
 
@@ -234,11 +246,7 @@ func New(cfg Config) (*Coordinator, error) {
 			return nil, rerr
 		}
 		header = st.header
-		for idx, rec := range st.done {
-			if idx >= 0 && idx < spec.Trials {
-				c.done[idx] = rec
-			}
-		}
+		c.resume(st.done)
 	} else if info, serr := fileSize(cfg.Journal); serr != nil {
 		return nil, serr
 	} else if info > 0 {
@@ -525,64 +533,102 @@ func (c *Coordinator) remainingLocked(s *shard) []int {
 	return rem
 }
 
-// replayPlane feeds the journal-resumed records through the streaming
-// plane in trial-index order — the same order the merged journal uses —
-// so a resumed coordinator's progress readout starts from the full
-// campaign state rather than zero. It runs before any lease, so done is
-// not yet shared. No-op without a plane.
-func (c *Coordinator) replayPlane() {
-	if c.cfg.Plane == nil {
-		return
-	}
-	for i := 0; i < c.spec.Trials; i++ {
-		if rec, ok := c.done[i]; ok {
-			c.cfg.Plane.Observe(*rec)
+// resume takes in the journal-replayed records inside the trial space:
+// each is folded, kept for replayPlane, and encoded once, into one
+// block that done points into.
+func (c *Coordinator) resume(recs map[int]*campaign.TrialRecord) {
+	for idx, rec := range recs {
+		if idx >= 0 && idx < c.spec.Trials {
+			c.resumed = append(c.resumed, *rec)
 		}
+	}
+	slices.SortFunc(c.resumed, func(a, b campaign.TrialRecord) int { return cmp.Compare(a.Index, b.Index) })
+	var enc []byte
+	ends := make([]int, len(c.resumed))
+	for i := range c.resumed {
+		c.fold.Add(&c.resumed[i])
+		enc = c.resumed[i].AppendJSON(enc)
+		ends[i] = len(enc)
+	}
+	block, start := string(enc), 0
+	for i, end := range ends {
+		c.done[c.resumed[i].Index] = block[start:end]
+		start = end
 	}
 }
 
-// ingest folds one received run of streamed records in, under one lock,
-// and returns jbuf, grown, for the caller to reuse. It is the fleet's
-// only duplicate check: a repeat (steal overlap, re-lease races) must
-// be bit-identical to the stored record — anything else is a
+// replayPlane feeds the journal-resumed records through the streaming
+// plane in trial-index order — the same order the merged journal uses —
+// so a resumed coordinator's progress readout starts from the full
+// campaign state rather than zero. It runs before any lease. No-op
+// without a plane.
+func (c *Coordinator) replayPlane() {
+	c.cfg.Plane.ObserveRun(c.resumed)
+	c.resumed = nil
+}
+
+// ingest folds one received run of streamed records in, under one
+// lock, and returns jbuf, grown, for the caller to reuse. lines[i] is
+// run[i]'s canonical encoding (TrialRecord.AppendJSON). ingest is the
+// fleet's only duplicate check: a repeat (steal overlap, re-lease
+// races) must carry the stored record's bytes — the canonical encoding
+// is one-to-one up to TrialRecord.Equal, so anything else is a
 // determinism violation that aborts the campaign, and no record after
 // it in the run is taken — and is counted, never journaled or shown to
 // the plane, so the plane sees each trial once. Once Config.StopAfter
-// new records have arrived, no more are taken. The new records are
-// copied into one block per run that the done set points into, then
-// observed in arrival order and journaled in one write through jbuf.
+// new records have arrived, no more are taken. The new records' lines
+// are copied into one block per run that the done set points into and
+// folded into the Result tally; then the plane observes them in
+// arrival order, and they are journaled in one write through jbuf.
 // run must hold records the lease already checked (campaign key, index
-// inside the trial space); the caller may reuse it once ingest returns.
-func (c *Coordinator) ingest(run []campaign.TrialRecord, jbuf []byte) ([]byte, error) {
-	var dupErr error
-	fresh := make([]campaign.TrialRecord, 0, len(run))
+// inside the trial space); ingest reorders run and lines, and the
+// caller may reuse both once it returns.
+func (c *Coordinator) ingest(run []campaign.TrialRecord, lines [][]byte, jbuf []byte) ([]byte, error) {
+	var (
+		dupErr error
+		block  strings.Builder // the fresh lines, back to back
+		fresh  int             // run[:fresh] and lines[:fresh] are the new records
+	)
 	c.mu.Lock()
 	for i := range run {
 		if c.cfg.StopAfter > 0 && c.received >= c.cfg.StopAfter {
 			break
 		}
-		rec := &run[i]
+		rec, line := &run[i], lines[i]
 		if prev, ok := c.done[rec.Index]; ok {
 			c.duplicates++
-			if !prev.Equal(*rec) {
+			if prev != string(line) {
 				dupErr = fmt.Errorf("%w: trial %d arrived twice with different payloads — determinism violation (worker skew?)", errFatal, rec.Index)
 				break
 			}
 			continue
 		}
-		fresh = append(fresh, *rec)
-		c.done[rec.Index] = &fresh[len(fresh)-1]
+		if block.Cap() == 0 {
+			// One allocation for the run: no later line moves the
+			// block, and a line, once stored, never changes anyway.
+			size := 0
+			for _, l := range lines[i:] {
+				size += len(l)
+			}
+			block.Grow(size)
+		}
+		start := block.Len()
+		block.Write(line)
+		c.done[rec.Index] = block.String()[start:]
+		c.fold.Add(rec)
 		c.received++
+		run[fresh], lines[fresh] = run[i], line
+		fresh++
 	}
-	stopNow := len(fresh) > 0 && c.cfg.StopAfter > 0 && c.received == c.cfg.StopAfter
-	completeNow := dupErr == nil && len(fresh) > 0 && len(c.done) == c.spec.Trials
+	stopNow := fresh > 0 && c.cfg.StopAfter > 0 && c.received == c.cfg.StopAfter
+	completeNow := dupErr == nil && fresh > 0 && len(c.done) == c.spec.Trials
 	cancel := c.cancelRun
 	c.mu.Unlock()
 
+	c.cfg.Plane.ObserveRun(run[:fresh])
 	jbuf = jbuf[:0]
-	for i := range fresh {
-		c.cfg.Plane.Observe(fresh[i])
-		jbuf = appendTrialEvent(jbuf, &fresh[i])
+	for _, line := range lines[:fresh] {
+		jbuf = wrapTrialEvent(jbuf, line)
 	}
 	if err := c.jn.AppendLines(jbuf, false); err != nil {
 		return jbuf, errors.Join(errFatal, err)

@@ -18,11 +18,12 @@ import (
 // (replayJournal); the other lease-protocol events (lease, split, fail,
 // done, complete) are history for the artifact log. Durability: every
 // protocol event is fsync'd as written, and trial lines (built by
-// appendTrialEvent, not json.Marshal) are not — the new records of
-// each received run go to the OS in one write. Each fsync therefore
-// makes durable every trial line written before its event: the header
-// is on disk before any lease is granted, and a shard's "done" event
-// on disk implies every one of its trials is too.
+// wrapTrialEvent around the record's canonical bytes, not by
+// json.Marshal) are not — the new records of each received run go to
+// the OS in one write. Each fsync therefore makes durable every trial
+// line written before its event: the header is on disk before any
+// lease is granted, and a shard's "done" event on disk implies every
+// one of its trials is too.
 type journalEvent struct {
 	Event string `json:"event"`
 
@@ -46,12 +47,12 @@ type journalEvent struct {
 	Rec *campaign.TrialRecord `json:"rec,omitempty"`
 }
 
-// appendTrialEvent appends the journal line recording rec to b: the
-// bytes journal.Line(journalEvent{Event: evTrial, Rec: rec}) writes,
-// built with TrialRecord.AppendJSON.
-func appendTrialEvent(b []byte, rec *campaign.TrialRecord) []byte {
+// wrapTrialEvent appends the journal line recording a trial to b, given
+// the record's canonical bytes (TrialRecord.AppendJSON): the bytes
+// journal.Line(journalEvent{Event: evTrial, Rec: rec}) writes.
+func wrapTrialEvent(b, rec []byte) []byte {
 	b = append(b, `{"event":"trial","lo":0,"hi":0,"rec":`...)
-	b = rec.AppendJSON(b)
+	b = append(b, rec...)
 	return append(b, "}\n"...)
 }
 

@@ -12,7 +12,7 @@ import (
 // TestReplayJournalCorruptionCorpus runs the shared tail-corruption
 // corpus against the coordinator-journal replay: corruption is
 // tolerated only on the file's final line, where a killed coordinator
-// leaves it. Its trial lines also pin appendTrialEvent to the bytes
+// leaves it. Its trial lines also pin wrapTrialEvent to the bytes
 // journal.Line writes for the same event.
 func TestReplayJournalCorruptionCorpus(t *testing.T) {
 	const key = "deadbeef"
@@ -32,8 +32,8 @@ func TestReplayJournalCorruptionCorpus(t *testing.T) {
 			rec.Outcome, rec.Err, rec.AttemptErrs = "", "site <bad> & \"quoted\"", []string{"attempt 1"}
 		}
 		line := marshal(journalEvent{Event: evTrial, Rec: rec})
-		if got := appendTrialEvent(nil, rec); !bytes.Equal(got, append(line, '\n')) {
-			t.Fatalf("appendTrialEvent\n got %s\nwant %s", got, line)
+		if got := wrapTrialEvent(nil, rec.AppendJSON(nil)); !bytes.Equal(got, append(line, '\n')) {
+			t.Fatalf("wrapTrialEvent\n got %s\nwant %s", got, line)
 		}
 		lines = append(lines, line)
 	}

@@ -91,7 +91,9 @@ const (
 
 // readStream consumes one shard stream from r. A run — every whole line
 // already buffered — is decoded and folded in by one ingest call, and
-// beat is called once per run. Record lines must carry the campaign's
+// beat is called once per run. A record line keeps the worker's bytes
+// of its record when they are canonical; only a record sent in another
+// form is re-encoded. Record lines must carry the campaign's
 // params key (else errFatal: worker skew) and an index inside the
 // grant's [lo, hi). It returns nil at a terminal EOF line that
 // verifyEOF accepts; a worker-side Err line, an undecodable line, a
@@ -101,9 +103,11 @@ const (
 func (c *Coordinator) readStream(r io.Reader, g grant, url string, beat func()) error {
 	br := bufio.NewReaderSize(r, streamBuf)
 	var (
-		run  []campaign.TrialRecord // the run's records, reused
-		jbuf []byte                 // ingest's journal buffer, reused
-		long []byte                 // a line longer than the buffer
+		run   []campaign.TrialRecord // the run's records, reused
+		lines [][]byte               // their canonical bytes, reused
+		enc   []byte                 // non-canonical records re-encoded, reused
+		jbuf  []byte                 // ingest's journal buffer, reused
+		long  []byte                 // a line longer than the buffer
 	)
 	for {
 		first, err := br.ReadSlice('\n')
@@ -139,7 +143,8 @@ func (c *Coordinator) readStream(r io.Reader, g grant, url string, beat func()) 
 				continue
 			}
 			run = slices.Grow(run, 1)[:len(run)+1]
-			if !serve.DecodeRecordLine(raw, &run[len(run)-1], c.key, c.progHash) {
+			canon, ok := serve.DecodeRecordLine(raw, &run[len(run)-1], c.key, c.progHash)
+			if !ok {
 				run = run[:len(run)-1]
 				l, derr := serve.DecodeShardLine(raw)
 				switch {
@@ -160,13 +165,23 @@ func (c *Coordinator) readStream(r io.Reader, g grant, url string, beat func()) 
 					break
 				}
 			}
-			if end = c.checkRecord(g, url, &run[len(run)-1]); end != nil {
+			rec := &run[len(run)-1]
+			if end = c.checkRecord(g, url, rec); end != nil {
 				run = run[:len(run)-1]
+				continue
 			}
+			if canon == nil {
+				// Earlier lines may point into enc's old array if
+				// this append moves it; the old array stays as it was.
+				n := len(enc)
+				enc = rec.AppendJSON(enc)
+				canon = enc[n:]
+			}
+			lines = append(lines, canon)
 		}
 		// The records before a line that ends the stream still count.
-		jbuf, err = c.ingest(run, jbuf)
-		run = run[:0]
+		jbuf, err = c.ingest(run, lines, jbuf)
+		run, lines, enc = run[:0], lines[:0], enc[:0]
 		if err != nil || end != nil {
 			return errors.Join(err, end)
 		}

@@ -9,7 +9,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -43,6 +45,17 @@ func synthRecord(c *Coordinator, i int) campaign.TrialRecord {
 		Space: "int-reg", Reg: uint8(i % 32), Bit: 3, Step: uint64(10 + i), Attempts: 1, Outcome: "benign"}
 }
 
+// ingestRecords hands recs to c.ingest as one received run, each with
+// its canonical line.
+func ingestRecords(c *Coordinator, recs ...campaign.TrialRecord) error {
+	lines := make([][]byte, len(recs))
+	for i := range recs {
+		lines[i] = recs[i].AppendJSON(nil)
+	}
+	_, err := c.ingest(recs, lines, nil)
+	return err
+}
+
 // journaledTrials closes c and lists the trial indices its journal
 // holds, ascending.
 func journaledTrials(t *testing.T, c *Coordinator) []int {
@@ -72,10 +85,10 @@ func TestIngestRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := newTestCoordinator(t, Config{Params: testParams(10), Plane: plane})
-		if _, err := c.ingest([]campaign.TrialRecord{synthRecord(c, 0), synthRecord(c, 1)}, nil); err != nil {
+		if err := ingestRecords(c, synthRecord(c, 0), synthRecord(c, 1)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.ingest([]campaign.TrialRecord{synthRecord(c, 1), synthRecord(c, 2)}, nil); err != nil {
+		if err := ingestRecords(c, synthRecord(c, 1), synthRecord(c, 2)); err != nil {
 			t.Fatalf("run with a bit-identical repeat: %v", err)
 		}
 		snap := c.Snapshot()
@@ -95,12 +108,12 @@ func TestIngestRun(t *testing.T) {
 
 	t.Run("differing-repeat-mid-run", func(t *testing.T) {
 		c := newTestCoordinator(t, Config{Params: testParams(10)})
-		if _, err := c.ingest([]campaign.TrialRecord{synthRecord(c, 1)}, nil); err != nil {
+		if err := ingestRecords(c, synthRecord(c, 1)); err != nil {
 			t.Fatal(err)
 		}
 		differing := synthRecord(c, 1)
 		differing.Outcome = "sdc"
-		_, err := c.ingest([]campaign.TrialRecord{synthRecord(c, 3), differing, synthRecord(c, 4)}, nil)
+		err := ingestRecords(c, synthRecord(c, 3), differing, synthRecord(c, 4))
 		if !errors.Is(err, errFatal) || !strings.Contains(err.Error(), "trial 1") {
 			t.Fatalf("got %v, want errFatal naming trial 1", err)
 		}
@@ -119,10 +132,10 @@ func TestIngestRun(t *testing.T) {
 		for i := range run {
 			run[i] = synthRecord(c, i)
 		}
-		if _, err := c.ingest(run, nil); err != nil {
+		if err := ingestRecords(c, run...); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.ingest([]campaign.TrialRecord{synthRecord(c, 7)}, nil); err != nil {
+		if err := ingestRecords(c, synthRecord(c, 7)); err != nil {
 			t.Fatal(err)
 		}
 		if got := c.Snapshot().Done; got != 3 {
@@ -177,6 +190,135 @@ func TestLeaseRejectsRecordOutsideRange(t *testing.T) {
 	}
 	if snap := c.Snapshot(); snap.Done != 1 || snap.Failures != 1 || snap.Complete {
 		t.Fatalf("snapshot %+v, want trial 0 done and one failed lease", snap)
+	}
+}
+
+// nonCanonical rewrites the canonical encoding of trial i's record
+// into one of the forms encoding/json decodes to the same record but
+// AppendJSON never writes, adjusting rec so that it does: an omitempty
+// field written with its zero value, an index of -0, raw HTML bytes
+// inside a string, reordered fields.
+func nonCanonical(i int, rec *campaign.TrialRecord) string {
+	forms := []func() string{
+		func() string { // "reg":0
+			rec.Reg = 0
+			return strings.Replace(string(rec.AppendJSON(nil)), `,"bit":`, `,"reg":0,"bit":`, 1)
+		},
+		func() string { // "addr":0
+			rec.Addr = 0
+			return strings.Replace(string(rec.AppendJSON(nil)), `,"step":`, `,"addr":0,"step":`, 1)
+		},
+		func() string { // "outcome":""
+			rec.Outcome, rec.Err = "", "harness: boom"
+			return strings.Replace(string(rec.AppendJSON(nil)), `,"err":`, `,"outcome":"","err":`, 1)
+		},
+		func() string { // "err":""
+			return strings.TrimSuffix(string(rec.AppendJSON(nil)), "}") + `,"err":""}`
+		},
+		func() string { // "attempt_errs":[]
+			return strings.TrimSuffix(string(rec.AppendJSON(nil)), "}") + `,"attempt_errs":[]}`
+		},
+		func() string { // '<', '>' and '&' unescaped
+			rec.Outcome, rec.Err = "", "harness: <a> & <b>"
+			return strings.NewReplacer(`\u003c`, "<", `\u003e`, ">", `\u0026`, "&").Replace(string(rec.AppendJSON(nil)))
+		},
+		func() string { // fields in another order
+			var m map[string]json.RawMessage
+			if err := json.Unmarshal(rec.AppendJSON(nil), &m); err != nil {
+				panic(err)
+			}
+			b, err := json.Marshal(m) // sorted keys
+			if err != nil {
+				panic(err)
+			}
+			return string(b)
+		},
+	}
+	if i == 0 { // index -0
+		return strings.Replace(string(rec.AppendJSON(nil)), `,"i":0,`, `,"i":-0,`, 1)
+	}
+	return forms[i%len(forms)]()
+}
+
+// A worker may send records in any form encoding/json accepts: the
+// coordinator re-encodes what is not canonical, so its journal's trial
+// lines and the merged journal hold AppendJSON's bytes, and a canonical
+// repeat of a record first sent in another form is a bit-identical
+// duplicate. The worker streams in descending index order, so the
+// Result, failed trials' errors included, must not depend on arrival
+// order.
+func TestLeaseReencodesNonCanonicalRecords(t *testing.T) {
+	const trials = 16
+	var c *Coordinator
+	var recs []campaign.TrialRecord
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req serve.ShardRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		var b []byte
+		for i := req.Hi - 1; i >= req.Lo; i-- {
+			b = append(b, `{"rec":`+nonCanonical(i, &recs[i])+"}\n"...)
+			b = serve.AppendRecordLine(b, &recs[i])
+		}
+		b = append(b, fmt.Sprintf(`{"eof":true,"sent":%d}`+"\n", 2*(req.Hi-req.Lo))...)
+		w.Write(b)
+	}))
+	t.Cleanup(worker.Close)
+
+	dir := t.TempDir()
+	c = newTestCoordinator(t, Config{
+		Workers: []string{worker.URL},
+		Params:  testParams(trials),
+		Shards:  1,
+		Merged:  filepath.Join(dir, "merged.jsonl"),
+	})
+	for i := 0; i < trials; i++ {
+		recs = append(recs, synthRecord(c, i))
+		recs[i].Addr = 0x1000
+	}
+	res, err := c.Run(context.Background())
+	if errors.Is(err, errFatal) || errors.Is(err, campaign.ErrInterrupted) {
+		t.Fatalf("run: %v", err)
+	}
+	if snap := c.Snapshot(); !snap.Complete || snap.Duplicates != trials {
+		t.Fatalf("snapshot %+v, want complete with %d duplicates", snap, trials)
+	}
+
+	var wantMerged, wantTrials []byte
+	fold := campaign.NewFold(c.spec, c.progHash)
+	for i := range recs {
+		line := recs[i].AppendJSON(nil)
+		wantMerged = append(append(wantMerged, line...), '\n')
+		wantTrials = wrapTrialEvent(wantTrials, line)
+		fold.Add(&recs[i])
+	}
+	// The worker streamed descending; the journal holds arrival order.
+	var gotTrials [][]byte
+	raw, rerr := os.ReadFile(c.cfg.Journal)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
+		if bytes.HasPrefix(line, []byte(`{"event":"trial"`)) {
+			gotTrials = append(gotTrials, line)
+		}
+	}
+	slices.Reverse(gotTrials)
+	if got := bytes.Join(gotTrials, nil); !bytes.Equal(got, wantTrials) {
+		t.Fatalf("coordinator journal trial lines\n got %s\nwant %s", got, wantTrials)
+	}
+	merged, rerr := os.ReadFile(c.cfg.Merged)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if !bytes.Equal(merged, wantMerged) {
+		t.Fatalf("merged journal\n got %s\nwant %s", merged, wantMerged)
+	}
+	wantRes, wantErr := fold.Result()
+	if !reflect.DeepEqual(res, wantRes) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("result %+v, %v\nwant %+v, %v", res, err, wantRes, wantErr)
 	}
 }
 

@@ -201,8 +201,7 @@ func TestRecordIsTheOnlyDuplicateCheck(t *testing.T) {
 	repeat := first
 	repeat.AttemptErrs = append([]string(nil), first.AttemptErrs...)
 	ingest := func(rec campaign.TrialRecord) error {
-		_, err := c.ingest([]campaign.TrialRecord{rec}, nil)
-		return err
+		return ingestRecords(c, rec)
 	}
 	if err := ingest(first); err != nil {
 		t.Fatalf("first arrival: %v", err)

@@ -89,7 +89,9 @@ func (b *Breaker) tick() {
 
 // Allow asks to start one call. It returns a non-nil done func when
 // the call is admitted — the caller MUST invoke done(err) with the
-// call's outcome — and ErrOpen when the circuit rejects the call.
+// call's outcome — and ErrOpen when the circuit rejects the call. Only
+// the HalfOpen probe's done can settle the probe; the done of a call
+// admitted while Closed counts only if the circuit is still Closed.
 func (b *Breaker) Allow() (done func(error), err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -102,35 +104,41 @@ func (b *Breaker) Allow() (done func(error), err error) {
 			return nil, ErrOpen
 		}
 		b.probing = true
+		return b.probeDone, nil
 	}
-	return b.done, nil
+	return b.closedDone, nil
 }
 
-// done records a call outcome and drives the state machine.
-func (b *Breaker) done(callErr error) {
+// closedDone records the outcome of a call admitted while Closed. A
+// call that finishes after the circuit tripped has nothing further to
+// record: the probe, not it, decides the way back to Closed.
+func (b *Breaker) closedDone(callErr error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case Closed:
-		if callErr == nil {
-			b.failures = 0
-			return
-		}
-		if b.failures++; b.failures >= failureThreshold {
-			b.trip()
-		}
-	case HalfOpen:
-		b.probing = false
-		if callErr == nil {
-			b.state = Closed
-			b.failures = 0
-			return
-		}
-		b.trip()
-	case Open:
-		// A call admitted before the circuit tripped: nothing further
-		// to record.
+	if b.state != Closed {
+		return
 	}
+	if callErr == nil {
+		b.failures = 0
+		return
+	}
+	if b.failures++; b.failures >= failureThreshold {
+		b.trip()
+	}
+}
+
+// probeDone records the HalfOpen probe's outcome: success closes the
+// circuit, failure reopens it.
+func (b *Breaker) probeDone(callErr error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.probing = false
+	if callErr == nil {
+		b.state = Closed
+		b.failures = 0
+		return
+	}
+	b.trip()
 }
 
 // trip opens the circuit now. Callers hold b.mu.

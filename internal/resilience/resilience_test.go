@@ -212,6 +212,31 @@ func TestBreakerHalfOpenProbeReopens(t *testing.T) {
 	}
 }
 
+// A call admitted while the circuit was Closed that finishes during
+// HalfOpen is not the probe: it must neither close the circuit under
+// the probe in flight nor stop the probe's failure from reopening it.
+func TestBreakerStaleCallDoesNotSettleProbe(t *testing.T) {
+	b, clk := newTestBreaker()
+	stale, err := b.Allow()
+	if err != nil {
+		t.Fatalf("call admitted while closed: %v", err)
+	}
+	trip(t, b)
+	clk.advance(Cooldown)
+	probe, err := b.Allow()
+	if err != nil {
+		t.Fatalf("probe rejected: %v", err)
+	}
+	stale(nil)
+	if _, err := b.Allow(); !errors.Is(err, ErrOpen) {
+		t.Fatalf("Allow with the probe in flight after a stale success: err = %v, want ErrOpen", err)
+	}
+	probe(errors.New("still down"))
+	if got := b.State(); got != Open {
+		t.Fatalf("state after failed probe = %v, want Open", got)
+	}
+}
+
 func TestBreakerHalfOpenLimitsProbes(t *testing.T) {
 	b, clk := newTestBreaker()
 	trip(t, b)

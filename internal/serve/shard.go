@@ -65,7 +65,7 @@ var recLinePrefix = []byte(`{"rec":{"key":"`)
 // not exactly {"rec":<record>}) is decoded whole by json.Unmarshal.
 func DecodeShardLine(raw []byte) (ShardLine, error) {
 	var rec campaign.TrialRecord
-	if DecodeRecordLine(raw, &rec, "", "") {
+	if _, ok := DecodeRecordLine(raw, &rec, "", ""); ok {
 		return ShardLine{Rec: &rec}, nil
 	}
 	var l ShardLine
@@ -75,18 +75,28 @@ func DecodeShardLine(raw []byte) (ShardLine, error) {
 
 // DecodeRecordLine decodes a shard-stream line (without its '\n') that
 // is exactly {"rec":<record>} into rec, overwriting it whole, and
-// reports true; the record is decoded by TrialRecord.DecodeKeyed, so a
+// reports ok; the record is decoded by TrialRecord.DecodeKeyed, so a
 // reader that knows its campaign's key and program hash gets those
-// strings back instead of copies. For any other line it reports false
-// and rec's contents are unspecified: decode it with DecodeShardLine.
-func DecodeRecordLine(raw []byte, rec *campaign.TrialRecord, key, prog string) bool {
+// strings back instead of copies. canonical is the record's part of
+// raw when it is byte for byte rec's AppendJSON encoding, else nil. For
+// any other line it reports !ok and rec's contents are unspecified:
+// decode it with DecodeShardLine.
+func DecodeRecordLine(raw []byte, rec *campaign.TrialRecord, key, prog string) (canonical []byte, ok bool) {
 	if !bytes.HasPrefix(raw, recLinePrefix) || raw[len(raw)-1] != '}' {
-		return false
+		return nil, false
 	}
 	// The inner text starts with '{', so once it decodes as a record
 	// the whole line is that one-key object.
 	*rec = campaign.TrialRecord{}
-	return rec.DecodeKeyed(raw[len(`{"rec":`):len(raw)-1], key, prog) == nil
+	inner := raw[len(`{"rec":`) : len(raw)-1]
+	canon, err := rec.DecodeKeyed(inner, key, prog)
+	if err != nil {
+		return nil, false
+	}
+	if canon {
+		return inner, true
+	}
+	return nil, true
 }
 
 // handleShards serves POST /api/v1/shards: execute one leased trial

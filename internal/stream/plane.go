@@ -122,22 +122,23 @@ func ratio(k, n uint64) float64 {
 //
 //	Observe → classify → tally → DLQ → throttle → Fanout
 //
-// Observe runs on the caller's goroutine and classifies each record
-// once. The tally and the throttle live under one mutex, and the
-// fanout publishes only while it is held. The DLQ offer of a dead
-// record (an fsync) runs between two critical sections, never under
-// the mutex, so a stalled disk cannot wedge Snapshot and the /metrics
-// scrape behind it. Every caller hands the plane each trial exactly
-// once: campaign.RunContext per invocation, and fabric.Coordinator
-// after its own duplicate check.
+// Observe (ObserveRun for a run of records) runs on the caller's
+// goroutine and classifies each record once. The tally and the
+// throttle live under one mutex, and the fanout publishes only while
+// it is held. The DLQ offer of a dead record (an fsync) runs between
+// two critical sections, never under the mutex, so a stalled disk
+// cannot wedge Snapshot and the /metrics scrape behind it. Every
+// caller hands the plane each trial exactly once: campaign.RunContext
+// per invocation, and fabric.Coordinator after its own duplicate
+// check.
 //
 // The plane is strictly observational — it reads records, it never
 // produces or reorders them — which is what makes Result values and
 // journal bytes bit-identical with the plane on or off.
 //
-// A nil *Plane is a valid no-op observer: Observe, Snapshot, Close,
-// DLQDepth and Dropped all tolerate it, so call sites wire
-// plane.Observe unconditionally.
+// A nil *Plane is a valid no-op observer: Observe, ObserveRun,
+// Snapshot, Close, DLQDepth and Dropped all tolerate it, so call sites
+// wire plane.Observe unconditionally.
 type Plane struct {
 	dlq      *DLQ
 	fanout   *Fanout[Frame]
@@ -171,41 +172,59 @@ func NewPlane(cfg PlaneConfig) (*Plane, error) {
 }
 
 // Observe folds one trial record into the plane, dead-letters it if
-// it failed, and publishes a frame if the throttle allows. Its cost is
-// bounded by the DLQ's fsync, never by any subscriber. After Close the
-// record is counted in Dropped and goes nowhere else. Nil-safe.
+// it failed, and publishes a frame if the throttle allows: ObserveRun
+// of one record. Its cost is bounded by the DLQ's fsync, never by any
+// subscriber. After Close the record is counted in Dropped and goes
+// nowhere else. Nil-safe.
 func (p *Plane) Observe(rec campaign.TrialRecord) {
-	if p == nil {
+	p.ObserveRun([]campaign.TrialRecord{rec})
+}
+
+// ObserveRun observes recs in order, as that many Observe calls would,
+// under one hold of p.mu: a dead record's DLQ offer still runs outside
+// it, in arrival order. Without EmitEvery every record publishes its
+// frame; with it, the clock is read once for the run, and at most one
+// frame is published, after the run's last record. Nil-safe.
+func (p *Plane) ObserveRun(recs []campaign.TrialRecord) {
+	if p == nil || len(recs) == 0 {
 		return
 	}
-	class, reason := classify(rec)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		p.dropped++
+	for i := range recs {
+		if p.closed {
+			p.dropped += uint64(len(recs) - i)
+			return
+		}
+		class, reason := classify(recs[i])
+		p.tally.add(class)
+		if reason != "" {
+			p.inflight.Add(1)
+			p.mu.Unlock()
+			_, err := p.dlq.Offer(reason, recs[i])
+			p.mu.Lock()
+			p.inflight.Done()
+			if err != nil && p.firstErr == nil {
+				p.firstErr = err
+			}
+			if p.closed {
+				// Close won the race for this record's frame; the
+				// records after it count as dropped.
+				continue
+			}
+		}
+		if p.every == 0 {
+			p.fanout.Publish(p.frameLocked(false))
+		}
+	}
+	if p.every == 0 || p.closed {
 		return
 	}
-	p.tally.add(class)
-	if reason != "" {
-		p.inflight.Add(1)
-		p.mu.Unlock()
-		_, err := p.dlq.Offer(reason, rec)
-		p.mu.Lock()
-		p.inflight.Done()
-		if err != nil && p.firstErr == nil {
-			p.firstErr = err
-		}
-		if p.closed {
-			return
-		}
+	now := p.now()
+	if p.emitted && now.Sub(p.last) < p.every {
+		return
 	}
-	if p.every > 0 {
-		now := p.now()
-		if p.emitted && now.Sub(p.last) < p.every {
-			return
-		}
-		p.emitted, p.last = true, now
-	}
+	p.emitted, p.last = true, now
 	p.fanout.Publish(p.frameLocked(false))
 }
 

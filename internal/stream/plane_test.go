@@ -527,3 +527,71 @@ func TestWindowExcludesFailedFromRate(t *testing.T) {
 		t.Fatalf("lifetime done=%d failed=%d rate=%v, want 129, 128, 1.0", fr.Done, fr.Failed, fr.Rate)
 	}
 }
+
+// ObserveRun is Observe over a run: unthrottled, it publishes the same
+// frames and dead-letters the same records as one Observe per record;
+// throttled, it reads the clock once per run and publishes at most one
+// frame, the run's last state.
+func TestPlaneObserveRunMatchesObserve(t *testing.T) {
+	var recs []campaign.TrialRecord
+	for i := 0; i < 300; i++ {
+		switch {
+		case i%37 == 5:
+			recs = append(recs, failedRec(i))
+		case i%53 == 7:
+			recs = append(recs, rec(i, "no-such-outcome"))
+		case i%11 == 0:
+			recs = append(recs, rec(i, "sdc"))
+		default:
+			recs = append(recs, rec(i, "benign"))
+		}
+	}
+	frames := func(observe func(*Plane)) ([]Frame, uint64) {
+		dir := t.TempDir()
+		p, err := NewPlane(PlaneConfig{DLQ: filepath.Join(dir, "dlq.jsonl"), Key: "k"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tap := p.Subscribe(len(recs) + 1)
+		observe(p)
+		depth := p.DLQDepth()
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var out []Frame
+		for fr := range tap.C {
+			out = append(out, fr)
+		}
+		return out, depth
+	}
+	want, wantDepth := frames(func(p *Plane) {
+		for _, r := range recs {
+			p.Observe(r)
+		}
+	})
+	got, gotDepth := frames(func(p *Plane) {
+		for lo := 0; lo < len(recs); lo += 64 {
+			p.ObserveRun(recs[lo:min(lo+64, len(recs))])
+		}
+	})
+	if !reflect.DeepEqual(got, want) || gotDepth != wantDepth {
+		t.Fatalf("ObserveRun: %d frames, dlq depth %d; Observe: %d frames, dlq depth %d",
+			len(got), gotDepth, len(want), wantDepth)
+	}
+
+	p, err := NewPlane(PlaneConfig{EmitEvery: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := 0
+	p.now = func() time.Time { reads++; return time.Unix(int64(reads), 0) }
+	tap := p.Subscribe(8)
+	p.ObserveRun(recs[:100])
+	p.ObserveRun(recs[100:])
+	if reads != 2 {
+		t.Fatalf("two throttled runs read the clock %d times, want 2", reads)
+	}
+	if dones := frameDones(t, p, tap); !slices.Equal(dones, []uint64{100, 300, 300}) {
+		t.Fatalf("throttled runs published frames at done=%v, want [100 300 300]", dones)
+	}
+}
