@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -204,34 +205,77 @@ func TestCampaignWatchdog(t *testing.T) {
 	}
 }
 
-// TestEarlyStop: a loose CI-width threshold stops the campaign at the
-// first round boundary.
+// TestEarlyStop: a CI-width threshold stops the campaign at a round
+// boundary — the first one under a loose threshold, a later one under
+// a tighter threshold — and the stopping point and Result are the same
+// for any worker count and batch width, and after a kill and resume.
 func TestEarlyStop(t *testing.T) {
 	prog := mustProg(t, testProgram)
-	spec := Spec{
-		Scheme:   SchemeUnSync,
-		Trials:   500,
-		Seed:     11,
-		MaxSteps: 100_000,
-		CIWidth:  0.9,
-	}
-	res, err := Run(prog, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.EarlyStop {
-		t.Fatal("campaign did not stop early under a 0.9 CI-width threshold")
-	}
-	if res.Ran != roundSize {
-		t.Errorf("early stop after %d trials, want one round (%d)", res.Ran, roundSize)
-	}
-	if res.SDCHi-res.SDCLo >= 0.9 {
-		t.Errorf("reported CI [%g,%g] wider than the threshold", res.SDCLo, res.SDCHi)
+	for _, tc := range []struct {
+		width     float64
+		rounds    int // round boundaries before the stop
+		stopAfter int // the kill lands inside the last round
+	}{
+		{width: 0.9, rounds: 1, stopAfter: 37},
+		{width: 0.08, rounds: 4, stopAfter: 230},
+	} {
+		spec := Spec{
+			Scheme:   SchemeUnSync,
+			Trials:   500,
+			Seed:     11,
+			MaxSteps: 100_000,
+			CIWidth:  tc.width,
+			Workers:  1,
+		}
+		want, err := Run(prog, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.EarlyStop {
+			t.Fatalf("campaign did not stop early under a %g CI-width threshold", tc.width)
+		}
+		if want.Ran != tc.rounds*roundSize {
+			t.Errorf("width %g: early stop after %d trials, want %d rounds (%d)", tc.width, want.Ran, tc.rounds, tc.rounds*roundSize)
+		}
+		if want.SDCHi-want.SDCLo >= tc.width {
+			t.Errorf("width %g: reported CI [%g,%g] wider than the threshold", tc.width, want.SDCLo, want.SDCHi)
+		}
+
+		for _, w := range []int{1, 4} {
+			for _, batch := range []int{1, 0} {
+				v := spec
+				v.Workers, v.Batch = w, batch
+				got, err := Run(prog, v)
+				if err != nil {
+					t.Fatalf("width %g workers %d batch %d: %v", tc.width, w, batch, err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("width %g workers %d batch %d: Result differs:\nwant: %+v\ngot:  %+v", tc.width, w, batch, want, got)
+				}
+			}
+		}
+
+		killed := spec
+		killed.Checkpoint = filepath.Join(t.TempDir(), "ck.jsonl")
+		killed.StopAfter = tc.stopAfter
+		killed.Workers = 4
+		if _, err := Run(prog, killed); !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("width %g: killed run err = %v, want ErrInterrupted", tc.width, err)
+		}
+		resumed := spec
+		resumed.Checkpoint = killed.Checkpoint
+		resumed.Resume = true
+		resumed.Workers = 2
+		got, err := Run(prog, resumed)
+		if err != nil {
+			t.Fatalf("width %g: resumed run: %v", tc.width, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("width %g: resumed Result differs:\nwant: %+v\ngot:  %+v", tc.width, want, got)
+		}
 	}
 }
 
-// TestResumeIgnoresForeignJournal: records journaled under a different
-// campaign key (here, a different seed) must not satisfy a resume.
 // TestResumeKeyMismatchFailsLoudly: pointing -resume at a journal
 // whose records all carry a different params key must fail with
 // ErrKeyMismatch and a message naming both keys — never silently
@@ -755,5 +799,61 @@ func TestSpecKeyExcludesBatch(t *testing.T) {
 	b.Batch = 17
 	if a.Key("prog") != b.Key("prog") {
 		t.Error("specs differing only in Batch do not share a journal key")
+	}
+}
+
+// TestEarlyStopReadsTheReportedInterval: early stopping reads the
+// same tally the Result's interval is built from. A journal line whose
+// outcome is not a known name decodes (through encoding/json) but
+// folds as a failed trial, so it must not narrow the stopping
+// interval either: 63 of 64 journaled outcomes rewritten to "bogus"
+// leave one successful trial, far too few to stop a 0.1-wide
+// threshold.
+func TestEarlyStopReadsTheReportedInterval(t *testing.T) {
+	prog := mustProg(t, testProgram)
+	ck := filepath.Join(t.TempDir(), "ck.jsonl")
+	spec := Spec{Scheme: SchemeUnSync, Trials: 64, Seed: 11, MaxSteps: 100_000, Workers: 1, Checkpoint: ck}
+	if _, err := Run(prog, spec); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(b, []byte("\n"))
+	rewritten := 0
+	for i, line := range lines {
+		if i == 0 {
+			continue
+		}
+		l, r, ok := bytes.Cut(line, []byte(`"outcome":"`))
+		if !ok {
+			continue
+		}
+		_, rest, _ := bytes.Cut(r, []byte(`"`))
+		lines[i] = slices.Concat(l, []byte(`"outcome":"bogus"`), rest)
+		rewritten++
+	}
+	if rewritten != 63 {
+		t.Fatalf("rewrote %d outcomes, want 63", rewritten)
+	}
+	if err := os.WriteFile(ck, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := spec
+	resumed.Trials = 500
+	resumed.CIWidth = 0.1
+	resumed.Resume = true
+	res, err := Run(prog, resumed)
+	if err == nil || !strings.Contains(err.Error(), `bad journaled outcome "bogus"`) {
+		t.Fatalf("resume over bogus outcomes returned %v, want the bad-outcome errors", err)
+	}
+	if res.Failed != rewritten {
+		t.Errorf("Failed = %d, want the %d bogus records", res.Failed, rewritten)
+	}
+	if res.EarlyStop && res.SDCHi-res.SDCLo >= resumed.CIWidth {
+		t.Errorf("stopped early with reported interval [%g,%g] (width %g), not narrower than %g",
+			res.SDCLo, res.SDCHi, res.SDCHi-res.SDCLo, resumed.CIWidth)
 	}
 }

@@ -1,9 +1,11 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -283,5 +285,39 @@ func TestFoldMatchesRunInAnyOrder(t *testing.T) {
 	got, err := fold.Result()
 	if !reflect.DeepEqual(got, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
 		t.Fatalf("reverse-order fold: %+v\n%v\nrun: %+v\n%v", got, err, want, wantErr)
+	}
+}
+
+// An Observer that panics part-way through the second chunk of a pass
+// aborts the campaign, but the first chunk was observed, folded and
+// journaled before it: the partial Result counts exactly the records
+// the journal holds.
+func TestObserverPanicCountsJournaledChunks(t *testing.T) {
+	prog := libraryProg(t, "checksum")
+	ck := filepath.Join(t.TempDir(), "ck.jsonl")
+	spec := Spec{Scheme: SchemeUnSync, Trials: 4096, Seed: 3, MaxSteps: 20_000, Workers: 1, Checkpoint: ck,
+		Observer: func(r TrialRecord) {
+			if r.Index == 40 {
+				panic("observer fault")
+			}
+		}}
+	if chunks := passChunks(spec.Trials, spec.Workers, spec.withDefaults()); chunks < 2 {
+		t.Fatalf("%d trials form passes of %d chunk(s); the test needs packed passes", spec.Trials, chunks)
+	}
+	res, err := Run(prog, spec)
+	if err == nil || !strings.Contains(err.Error(), "observer fault") {
+		t.Fatalf("Run with a panicking observer returned %v, want the recovered panic", err)
+	}
+	b, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Count(b, []byte("\n"))
+	if lines != DefaultBatch {
+		t.Errorf("journal holds %d lines, want the first chunk (%d)", lines, DefaultBatch)
+	}
+	if res.Ran != lines || res.Tally.Trials+res.Failed != lines {
+		t.Errorf("partial Result counts Ran %d, %d tallied + %d failed; the journal holds %d records",
+			res.Ran, res.Tally.Trials, res.Failed, lines)
 	}
 }

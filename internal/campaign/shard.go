@@ -62,9 +62,10 @@ func RunShard(ctx context.Context, prog *asm.Program, spec Spec, lo, hi int, ski
 	}
 
 	var emitMu sync.Mutex
-	_, _, mapErr := runPasses(ctx, prog, tr, spec, key, hash, todo, func(crecs []TrialRecord) error {
-		// Drop trials interrupted before classification; RunShard
-		// discards the pass records, so compacting in place is safe.
+	return runPasses(ctx, prog, tr, spec, key, hash, todo, func(crecs []TrialRecord) error {
+		// Drop trials interrupted before classification; no one reads
+		// a pass's records after its sink, so compacting in place is
+		// safe.
 		crecs = slices.DeleteFunc(crecs, func(r TrialRecord) bool { return r.Key == "" })
 		if len(crecs) == 0 {
 			return nil
@@ -73,5 +74,4 @@ func RunShard(ctx context.Context, prog *asm.Program, spec Spec, lo, hi int, ski
 		defer emitMu.Unlock()
 		return emit(crecs)
 	})
-	return mapErr
 }

@@ -22,8 +22,9 @@ import (
 // writes: the worker's own line when it was canonical, else the
 // coordinator's re-encoding. Writing the lines in index order therefore
 // reproduces a single-node -workers 1 checkpoint journal byte for byte,
-// and campaign.Fold, which single-node finish runs too, tallies the same
-// records into the same Result in any arrival order.
+// and campaign.Fold, which the single-node campaign folds per chunk
+// too, tallies the same records into the same Result in any arrival
+// order.
 func (c *Coordinator) merge() (campaign.Result, error) {
 	// One pass over the done set puts the lines in index order; every
 	// stored index lies inside the trial space, and no line is empty.
