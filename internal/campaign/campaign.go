@@ -442,6 +442,9 @@ func RunContext(ctx context.Context, prog *asm.Program, spec Spec) (Result, erro
 				todo = append(todo, i)
 			}
 		}
+		if hi >= len(loaded) {
+			loaded = nil // every resumed record has folded; free them
+		}
 		if spec.StopAfter > 0 && newly+len(todo) > spec.StopAfter {
 			todo = todo[:spec.StopAfter-newly]
 			interrupted = true

@@ -8,13 +8,16 @@ import (
 	"github.com/cmlasu/unsync/internal/fault"
 )
 
-// The TrialRecord codec: every journal line, shard-stream line and
-// merged-journal line a campaign writes is one TrialRecord, so the
-// record gets a hand-written encoder and decoder for its canonical
-// form — the exact bytes json.Marshal produces. encoding/json stays the
-// reference: the encoder hands it any record whose strings need
-// escaping, and the decoder hands it any input that is not in the
-// canonical form, so both agree with encoding/json on every input.
+// The TrialRecord codec. A trial record has one line format wherever
+// it is written: the checkpoint, a shard stream's record lines, the
+// fleet coordinator's journal and its merged journal all carry
+// AppendJSON's bytes plus '\n', and DecodeKeyed reads every one of
+// them. The record therefore gets a hand-written encoder and decoder
+// for its canonical form — the exact bytes json.Marshal produces.
+// encoding/json stays the reference: the encoder hands it any record
+// whose strings need escaping, and the decoder hands it any input that
+// is not in the canonical form, so both agree with encoding/json on
+// every input.
 
 // AppendJSON appends the record's JSON encoding to b and returns the
 // extended buffer. The bytes are identical to json.Marshal(r).
@@ -118,23 +121,19 @@ var plainByte = func() (t [256]bool) {
 	return t
 }()
 
-// DecodeJSON decodes one JSON-encoded record into r exactly as
+// DecodeKeyed decodes one JSON-encoded record into r exactly as
 // json.Unmarshal(raw, r) would: the same value and the same error. The
 // canonical form AppendJSON writes is parsed by hand; anything else —
 // another field order, whitespace, escapes, non-ASCII bytes, numbers
-// out of range, a torn line — goes to json.Unmarshal.
-func (r *TrialRecord) DecodeJSON(raw []byte) error {
-	_, err := r.DecodeKeyed(raw, "", "")
-	return err
-}
-
-// DecodeKeyed is DecodeJSON for a reader that expects key and prog (a
-// checkpoint resume, a fleet coordinator): a canonical line whose Key
-// and Prog bytes equal them gets those strings instead of a copy, so
-// decoding a matching record allocates nothing for them. canonical
-// reports that raw is byte for byte the AppendJSON encoding of the
-// record it holds, so a reader may keep raw instead of re-encoding the
-// record. Decoded into a zero record, that record is r itself.
+// out of range, a torn line — goes to json.Unmarshal. A reader that
+// expects key and prog (a checkpoint resume, a fleet coordinator) gets
+// those strings back for a canonical line whose Key and Prog bytes
+// equal them instead of a copy, so decoding a matching record
+// allocates nothing for them; a reader with no expectation passes ""
+// for both. canonical reports that raw is byte for byte the AppendJSON
+// encoding of the record it holds, so a reader may keep raw instead of
+// re-encoding the record. Decoded into a zero record, that record is r
+// itself.
 func (r *TrialRecord) DecodeKeyed(raw []byte, key, prog string) (canonical bool, err error) {
 	// Decode into a copy so a half-parsed line never leaks into r, and
 	// fields the line omits keep r's values, as with json.Unmarshal.

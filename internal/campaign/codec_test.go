@@ -174,10 +174,10 @@ func TestDecodeKeyedReportsCanonical(t *testing.T) {
 	}
 }
 
-// checkDecode asserts DecodeJSON and json.Unmarshal agree on raw: the
+// checkDecode asserts DecodeKeyed and json.Unmarshal agree on raw: the
 // same error text and the same value, both into a zero record and into
-// one whose fields the line may leave untouched. DecodeKeyed, given the
-// decoded Key and Prog as the expected strings, must agree too.
+// one whose fields the line may leave untouched, whether DecodeKeyed
+// expects no strings or the decoded Key and Prog.
 func checkDecode(t *testing.T, raw []byte) {
 	t.Helper()
 	prefilled := TrialRecord{Key: "old", Reg: 3, Addr: 9, Outcome: "sdc", Err: "old", AttemptErrs: []string{"old"}}
@@ -187,12 +187,12 @@ func checkDecode(t *testing.T, raw []byte) {
 		got.AttemptErrs = append([]string(nil), start.AttemptErrs...)
 		keyed.AttemptErrs = append([]string(nil), start.AttemptErrs...)
 		werr := json.Unmarshal(raw, &want)
-		gerr := got.DecodeJSON(raw)
+		_, gerr := got.DecodeKeyed(raw, "", "")
 		if fmt.Sprint(gerr) != fmt.Sprint(werr) {
-			t.Fatalf("DecodeJSON(%q): error %v, json.Unmarshal: %v", raw, gerr, werr)
+			t.Fatalf("DecodeKeyed(%q, \"\", \"\"): error %v, json.Unmarshal: %v", raw, gerr, werr)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("DecodeJSON(%q):\n got %#v\nwant %#v", raw, got, want)
+			t.Fatalf("DecodeKeyed(%q, \"\", \"\"):\n got %#v\nwant %#v", raw, got, want)
 		}
 		canonical, kerr := keyed.DecodeKeyed(raw, want.Key, want.Prog)
 		if fmt.Sprint(kerr) != fmt.Sprint(werr) || !reflect.DeepEqual(keyed, want) {
@@ -210,7 +210,7 @@ func checkDecode(t *testing.T, raw []byte) {
 
 // FuzzTrialRecordCodec checks the codec against encoding/json in both
 // directions: AppendJSON writes json.Marshal's bytes for arbitrary
-// field values, and DecodeJSON agrees with json.Unmarshal on arbitrary
+// field values, and DecodeKeyed agrees with json.Unmarshal on arbitrary
 // input bytes — on the error and on the decoded value.
 func FuzzTrialRecordCodec(f *testing.F) {
 	for _, rec := range codecRecords() {

@@ -628,7 +628,7 @@ func (c *Coordinator) ingest(run []campaign.TrialRecord, lines [][]byte, jbuf []
 	c.cfg.Plane.ObserveRun(run[:fresh])
 	jbuf = jbuf[:0]
 	for _, line := range lines[:fresh] {
-		jbuf = wrapTrialEvent(jbuf, line)
+		jbuf = append(append(jbuf, line...), '\n')
 	}
 	if err := c.jn.AppendLines(jbuf, false); err != nil {
 		return jbuf, errors.Join(errFatal, err)

@@ -496,12 +496,12 @@ func TestJournalReplayToleratesTornTail(t *testing.T) {
 	for _, ev := range []journalEvent{
 		{Event: evCampaign, Key: "k", Trials: 10},
 		{Event: evLease, Shard: 1, Lo: 0, Hi: 10, Worker: "http://w", Attempt: 1},
-		{Event: evTrial, Rec: &rec},
 	} {
 		b, _ := json.Marshal(ev)
 		buf.Write(append(b, '\n'))
 	}
-	buf.WriteString(`{"event":"trial","rec":{"key":"k","i":4`) // torn tail, no newline
+	buf.Write(append(rec.AppendJSON(nil), '\n'))
+	buf.WriteString(`{"key":"k","i":4`) // torn tail, no newline
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +554,7 @@ func TestFleetResumedTwiceOverTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"event":"trial","rec":{"key":"k","i":4`); err != nil {
+	if _, err := f.WriteString(`{"key":"k","i":4`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -1,7 +1,8 @@
 package fabric
 
 import (
-	"errors"
+	"bytes"
+	"encoding/json"
 	"fmt"
 
 	"github.com/cmlasu/unsync/internal/campaign"
@@ -9,21 +10,20 @@ import (
 	"github.com/cmlasu/unsync/internal/serve"
 )
 
-// journalEvent is one line of the coordinator journal: the campaign
-// header, a lease-protocol event, or a received trial record, kept in
-// a journal.Log: a coordinator killed mid-append loses at most its
-// final line.
+// The coordinator journal is a journal.Log of two kinds of line: a
+// journalEvent (the campaign header or a lease-protocol event), which
+// always opens with {"event":, and a received trial record in the
+// checkpoint's line format (TrialRecord.AppendJSON), which never does.
+// A coordinator killed mid-append loses at most its final line.
 //
 // Resume reads only the campaign header and the trial lines
 // (replayJournal); the other lease-protocol events (lease, split, fail,
 // done, complete) are history for the artifact log. Durability: every
-// protocol event is fsync'd as written, and trial lines (built by
-// wrapTrialEvent around the record's canonical bytes, not by
-// json.Marshal) are not — the new records of each received run go to
-// the OS in one write. Each fsync therefore makes durable every trial
-// line written before its event: the header is on disk before any
-// lease is granted, and a shard's "done" event on disk implies every
-// one of its trials is too.
+// protocol event is fsync'd as written, and trial lines are not — the
+// new records of each received run go to the OS in one write. Each
+// fsync therefore makes durable every trial line written before its
+// event: the header is on disk before any lease is granted, and a
+// shard's "done" event on disk implies every one of its trials is too.
 type journalEvent struct {
 	Event string `json:"event"`
 
@@ -42,19 +42,10 @@ type journalEvent struct {
 	At      int    `json:"at,omitempty"`  // split point
 	New     int    `json:"new,omitempty"` // split: stolen shard id
 	Err     string `json:"err,omitempty"`
-
-	// trial
-	Rec *campaign.TrialRecord `json:"rec,omitempty"`
 }
 
-// wrapTrialEvent appends the journal line recording a trial to b, given
-// the record's canonical bytes (TrialRecord.AppendJSON): the bytes
-// journal.Line(journalEvent{Event: evTrial, Rec: rec}) writes.
-func wrapTrialEvent(b, rec []byte) []byte {
-	b = append(b, `{"event":"trial","lo":0,"hi":0,"rec":`...)
-	b = append(b, rec...)
-	return append(b, "}\n"...)
-}
+// eventPrefix opens every journalEvent line and no trial line.
+var eventPrefix = []byte(`{"event":`)
 
 // Journal event names.
 const (
@@ -63,7 +54,6 @@ const (
 	evSplit    = "split"    // a straggler's tail re-split (work stealing)
 	evFail     = "fail"     // a lease failed; the remainder re-pends
 	evDone     = "done"     // a lease completed cleanly
-	evTrial    = "trial"    // one received trial record
 	evComplete = "complete" // every trial received; merge may run
 )
 
@@ -74,30 +64,48 @@ type replayState struct {
 	done   map[int]*campaign.TrialRecord
 }
 
+// journalLine is one decoded coordinator-journal line: an event, or,
+// when isEvent is false, a trial record.
+type journalLine struct {
+	isEvent bool
+	ev      journalEvent
+	rec     campaign.TrialRecord
+}
+
 // replayJournal reads a coordinator journal back. Records under a
 // different params key fail the replay (a fabric journal belongs to
 // exactly one campaign — unlike the shared single-node checkpoint,
 // mixing keys here can only mean the config changed under a resume).
-// The torn-tail policy is journal.Replay's.
+// Trial lines decode through TrialRecord.DecodeKeyed, sharing the key
+// and the header's program hash. The torn-tail policy is
+// journal.Replay's.
 func replayJournal(path, key string) (replayState, error) {
 	st := replayState{done: map[int]*campaign.TrialRecord{}}
-	err := journal.Replay(path, func(ev journalEvent) error {
-		switch ev.Event {
+	prog := "" // the header's program hash, once read
+	decode := func(raw []byte, l *journalLine) error {
+		if l.isEvent = bytes.HasPrefix(raw, eventPrefix); l.isEvent {
+			return json.Unmarshal(raw, &l.ev)
+		}
+		_, err := l.rec.DecodeKeyed(raw, key, prog)
+		return err
+	}
+	err := journal.ReplayDecode(path, decode, func(l journalLine) error {
+		if !l.isEvent {
+			if l.rec.Key != key {
+				return fmt.Errorf("%w: journal %s trial %d carries key %s, want %s",
+					campaign.ErrKeyMismatch, path, l.rec.Index, l.rec.Key, key)
+			}
+			rec := l.rec
+			st.done[rec.Index] = &rec
+			return nil
+		}
+		switch ev := l.ev; ev.Event {
 		case evCampaign:
 			if ev.Key != key {
 				return fmt.Errorf("%w: journal %s was written for params key %s, this campaign derives %s — the program, scheme, seed, spaces or budgets changed under -resume",
 					campaign.ErrKeyMismatch, path, ev.Key, key)
 			}
-			st.header = &ev
-		case evTrial:
-			if ev.Rec == nil {
-				return errors.New("trial event without a record")
-			}
-			if ev.Rec.Key != key {
-				return fmt.Errorf("%w: journal %s trial %d carries key %s, want %s",
-					campaign.ErrKeyMismatch, path, ev.Rec.Index, ev.Rec.Key, key)
-			}
-			st.done[ev.Rec.Index] = ev.Rec
+			st.header, prog = &ev, ev.Prog
 		case evLease, evSplit, evFail, evDone, evComplete:
 			// Lease-protocol history: informative for the artifact log,
 			// not needed for resume — the done set alone decides what is

@@ -91,15 +91,17 @@ const (
 
 // readStream consumes one shard stream from r. A run — every whole line
 // already buffered — is decoded and folded in by one ingest call, and
-// beat is called once per run. A record line keeps the worker's bytes
-// of its record when they are canonical; only a record sent in another
-// form is re-encoded. Record lines must carry the campaign's
-// params key (else errFatal: worker skew) and an index inside the
-// grant's [lo, hi). It returns nil at a terminal EOF line that
-// verifyEOF accepts; a worker-side Err line, an undecodable line, a
-// record outside the grant, or a stream that ends before its terminal
-// line fails the lease, after the records before it in the run were
-// ingested. A final line without its '\n' is torn and never read.
+// beat is called once per run. A line is a record when
+// TrialRecord.DecodeKeyed decodes it to a non-empty Key; any other line
+// is a terminal serve.ShardLine. A record keeps the worker's bytes when
+// they are canonical; only a record sent in another form is
+// re-encoded. Records must carry the campaign's params key (else
+// errFatal: worker skew) and an index inside the grant's [lo, hi). It
+// returns nil at a terminal EOF line that verifyEOF accepts; a
+// worker-side Err line, an undecodable or empty line, a record outside
+// the grant, or a stream that ends before its terminal line fails the
+// lease, after the records before it in the run were ingested. A final
+// line without its '\n' is torn and never read.
 func (c *Coordinator) readStream(r io.Reader, g grant, url string, beat func()) error {
 	br := bufio.NewReaderSize(r, streamBuf)
 	var (
@@ -143,41 +145,39 @@ func (c *Coordinator) readStream(r io.Reader, g grant, url string, beat func()) 
 				continue
 			}
 			run = slices.Grow(run, 1)[:len(run)+1]
-			canon, ok := serve.DecodeRecordLine(raw, &run[len(run)-1], c.key, c.progHash)
-			if !ok {
+			rec := &run[len(run)-1]
+			*rec = campaign.TrialRecord{}
+			canon, derr := rec.DecodeKeyed(raw, c.key, c.progHash)
+			if derr != nil || rec.Key == "" {
 				run = run[:len(run)-1]
-				l, derr := serve.DecodeShardLine(raw)
-				switch {
-				case derr != nil:
+				var l serve.ShardLine
+				switch lerr := json.Unmarshal(raw, &l); {
+				case lerr != nil:
 					// Whole but not JSON: nothing after it can be
 					// trusted to be framed right.
-					end = fmt.Errorf("shard %d on %s: undecodable stream line: %w", g.s.id, url, derr)
+					end = fmt.Errorf("shard %d on %s: undecodable stream line: %w", g.s.id, url, lerr)
 				case l.Err != "":
 					end = fmt.Errorf("shard %d on %s: worker-side failure: %s", g.s.id, url, l.Err)
 				case l.EOF:
 					eof, sent = true, l.Sent
-				case l.Rec == nil:
-					end = fmt.Errorf("shard %d on %s: empty stream line", g.s.id, url)
 				default:
-					run = append(run, *l.Rec)
+					end = fmt.Errorf("shard %d on %s: empty stream line", g.s.id, url)
 				}
-				if end != nil || eof {
-					break
-				}
+				break
 			}
-			rec := &run[len(run)-1]
 			if end = c.checkRecord(g, url, rec); end != nil {
 				run = run[:len(run)-1]
 				continue
 			}
-			if canon == nil {
-				// Earlier lines may point into enc's old array if
-				// this append moves it; the old array stays as it was.
-				n := len(enc)
-				enc = rec.AppendJSON(enc)
-				canon = enc[n:]
+			if canon {
+				lines = append(lines, raw)
+				continue
 			}
-			lines = append(lines, canon)
+			// Earlier lines may point into enc's old array if this
+			// append moves it; the old array stays as it was.
+			k := len(enc)
+			enc = rec.AppendJSON(enc)
+			lines = append(lines, enc[k:])
 		}
 		// The records before a line that ends the stream still count.
 		jbuf, err = c.ingest(run, lines, jbuf)

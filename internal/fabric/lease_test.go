@@ -166,8 +166,8 @@ func TestLeaseRejectsRecordOutsideRange(t *testing.T) {
 			return
 		}
 		in, out := synthRecord(c, req.Lo), synthRecord(c, req.Hi)
-		b := serve.AppendRecordLine(nil, &in)
-		b = serve.AppendRecordLine(b, &out)
+		b := append(in.AppendJSON(nil), '\n')
+		b = append(out.AppendJSON(b), '\n')
 		b = append(b, `{"eof":true,"sent":2}`+"\n"...)
 		w.Write(b)
 	}))
@@ -259,8 +259,8 @@ func TestLeaseReencodesNonCanonicalRecords(t *testing.T) {
 		}
 		var b []byte
 		for i := req.Hi - 1; i >= req.Lo; i-- {
-			b = append(b, `{"rec":`+nonCanonical(i, &recs[i])+"}\n"...)
-			b = serve.AppendRecordLine(b, &recs[i])
+			b = append(b, nonCanonical(i, &recs[i])+"\n"...)
+			b = append(recs[i].AppendJSON(b), '\n')
 		}
 		b = append(b, fmt.Sprintf(`{"eof":true,"sent":%d}`+"\n", 2*(req.Hi-req.Lo))...)
 		w.Write(b)
@@ -291,7 +291,7 @@ func TestLeaseReencodesNonCanonicalRecords(t *testing.T) {
 	for i := range recs {
 		line := recs[i].AppendJSON(nil)
 		wantMerged = append(append(wantMerged, line...), '\n')
-		wantTrials = wrapTrialEvent(wantTrials, line)
+		wantTrials = append(append(wantTrials, line...), '\n')
 		fold.Add(&recs[i])
 	}
 	// The worker streamed descending; the journal holds arrival order.
@@ -301,7 +301,7 @@ func TestLeaseReencodesNonCanonicalRecords(t *testing.T) {
 		t.Fatal(rerr)
 	}
 	for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
-		if bytes.HasPrefix(line, []byte(`{"event":"trial"`)) {
+		if bytes.HasPrefix(line, []byte(`{"key":`)) {
 			gotTrials = append(gotTrials, line)
 		}
 	}
@@ -364,7 +364,7 @@ func FuzzLeaseStreamTornTail(f *testing.F) {
 			if i == 2 {
 				rec.Outcome, rec.Err = "", strings.Repeat("long harness error ", streamBuf/16)
 			}
-			full = serve.AppendRecordLine(full, &rec)
+			full = append(rec.AppendJSON(full), '\n')
 			ends = append(ends, len(full))
 		}
 		full = append(full, fmt.Sprintf(`{"eof":true,"sent":%d}`+"\n", trials)...)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -31,13 +30,13 @@ type ShardRequest struct {
 	Key string `json:"key"`
 }
 
-// ShardLine is one line of the shard response stream: a trial record,
-// a terminal EOF marker (clean worker-side completion), or a terminal
-// worker-side error. Exactly one of the fields is set per line. A
-// stream that ends without an EOF or Err line was torn — the client
-// must treat the unreceived remainder of the range as never run.
+// ShardLine is the terminal line of a shard response stream: an EOF
+// marker (clean worker-side completion) or a worker-side error. Every
+// line before it is one trial record in the checkpoint's line format,
+// TrialRecord.AppendJSON plus '\n'. A stream that ends without an EOF
+// or Err line was torn — the client must treat the unreceived
+// remainder of the range as never run.
 type ShardLine struct {
-	Rec *campaign.TrialRecord `json:"rec,omitempty"`
 	// EOF marks clean completion; Sent counts the records streamed.
 	EOF  bool `json:"eof,omitempty"`
 	Sent int  `json:"sent,omitempty"`
@@ -46,62 +45,9 @@ type ShardLine struct {
 	Err string `json:"err,omitempty"`
 }
 
-// AppendRecordLine appends the shard-stream line carrying rec to b:
-// the bytes a json.Encoder writes for ShardLine{Rec: rec}, built with
-// TrialRecord.AppendJSON.
-func AppendRecordLine(b []byte, rec *campaign.TrialRecord) []byte {
-	b = append(b, `{"rec":`...)
-	b = rec.AppendJSON(b)
-	return append(b, "}\n"...)
-}
-
-// recLinePrefix opens every record line AppendRecordLine writes.
-var recLinePrefix = []byte(`{"rec":{"key":"`)
-
-// DecodeShardLine decodes one shard-stream line (without its '\n') as
-// json.Unmarshal would into a zero ShardLine: the same value and the
-// same error. A record line decodes its record through
-// DecodeRecordLine; any other line (EOF, Err, or a record line that is
-// not exactly {"rec":<record>}) is decoded whole by json.Unmarshal.
-func DecodeShardLine(raw []byte) (ShardLine, error) {
-	var rec campaign.TrialRecord
-	if _, ok := DecodeRecordLine(raw, &rec, "", ""); ok {
-		return ShardLine{Rec: &rec}, nil
-	}
-	var l ShardLine
-	err := json.Unmarshal(raw, &l)
-	return l, err
-}
-
-// DecodeRecordLine decodes a shard-stream line (without its '\n') that
-// is exactly {"rec":<record>} into rec, overwriting it whole, and
-// reports ok; the record is decoded by TrialRecord.DecodeKeyed, so a
-// reader that knows its campaign's key and program hash gets those
-// strings back instead of copies. canonical is the record's part of
-// raw when it is byte for byte rec's AppendJSON encoding, else nil. For
-// any other line it reports !ok and rec's contents are unspecified:
-// decode it with DecodeShardLine.
-func DecodeRecordLine(raw []byte, rec *campaign.TrialRecord, key, prog string) (canonical []byte, ok bool) {
-	if !bytes.HasPrefix(raw, recLinePrefix) || raw[len(raw)-1] != '}' {
-		return nil, false
-	}
-	// The inner text starts with '{', so once it decodes as a record
-	// the whole line is that one-key object.
-	*rec = campaign.TrialRecord{}
-	inner := raw[len(`{"rec":`) : len(raw)-1]
-	canon, err := rec.DecodeKeyed(inner, key, prog)
-	if err != nil {
-		return nil, false
-	}
-	if canon {
-		return inner, true
-	}
-	return nil, true
-}
-
 // handleShards serves POST /api/v1/shards: execute one leased trial
-// range and stream its records back as JSONL, one write and one flush
-// per journal chunk (campaign.RunShard's emit unit), so the stream
+// range and stream its records back as checkpoint lines, one write and
+// one flush per journal chunk (campaign.RunShard's emit unit), so the stream
 // doubles as the lease heartbeat — every chunk resets the coordinator's
 // deadline, and a SIGKILLed worker tears the connection within one TCP
 // timeout instead of silently holding the lease.
@@ -183,7 +129,7 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	emit := func(recs []campaign.TrialRecord) error {
 		buf = buf[:0]
 		for i := range recs {
-			buf = AppendRecordLine(buf, &recs[i])
+			buf = append(recs[i].AppendJSON(buf), '\n')
 		}
 		if _, err := w.Write(buf); err != nil {
 			return err // client gone; stop the shard

@@ -1,16 +1,15 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -27,11 +26,19 @@ func shardKey(t *testing.T, params CampaignParams) string {
 	return params.Spec().Key(campaign.ProgHash(prog))
 }
 
-// postShard POSTs a shard request and decodes the NDJSON stream. Every
-// line must be byte-identical to json.Marshal of the ShardLine it
-// decodes to, and DecodeShardLine must decode it exactly as
-// json.Unmarshal does.
-func postShard(t *testing.T, ts *httptest.Server, req ShardRequest) (*http.Response, []ShardLine) {
+// shardStream is a decoded 200 shard response: its records in stream
+// order, its terminal line and the raw body.
+type shardStream struct {
+	recs []campaign.TrialRecord
+	last ShardLine
+	body []byte
+}
+
+// postShard POSTs a shard request and decodes the stream. Every line
+// but the last must be a record in the checkpoint's line format
+// (TrialRecord.AppendJSON), and the last must be a terminal line
+// byte-identical to json.Marshal of the ShardLine it decodes to.
+func postShard(t *testing.T, ts *httptest.Server, req ShardRequest) (*http.Response, shardStream) {
 	t.Helper()
 	b, err := json.Marshal(req)
 	if err != nil {
@@ -42,28 +49,34 @@ func postShard(t *testing.T, ts *httptest.Server, req ShardRequest) (*http.Respo
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var lines []ShardLine
-	if resp.StatusCode == http.StatusOK {
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-		for sc.Scan() {
-			var line ShardLine
-			if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-				t.Fatalf("shard stream line %q: %v", sc.Bytes(), err)
-			}
-			if want, _ := json.Marshal(line); !bytes.Equal(sc.Bytes(), want) {
-				t.Fatalf("shard stream line\n got %s\nwant %s", sc.Bytes(), want)
-			}
-			if got, err := DecodeShardLine(sc.Bytes()); err != nil || !reflect.DeepEqual(got, line) {
-				t.Fatalf("DecodeShardLine(%s) = %+v, %v; json.Unmarshal gives %+v", sc.Bytes(), got, err, line)
-			}
-			lines = append(lines, line)
-		}
-		if err := sc.Err(); err != nil {
-			t.Fatal(err)
-		}
+	var st shardStream
+	if resp.StatusCode != http.StatusOK {
+		return resp, st
 	}
-	return resp, lines
+	if st.body, err = io.ReadAll(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(st.body, []byte("\n"))
+	if len(lines) < 2 || len(lines[len(lines)-1]) != 0 {
+		t.Fatalf("shard stream %q does not end in a terminal line", st.body)
+	}
+	lines = lines[:len(lines)-1]
+	for _, line := range lines[:len(lines)-1] {
+		var rec campaign.TrialRecord
+		canon, err := rec.DecodeKeyed(line[:len(line)-1], "", "")
+		if err != nil || !canon || rec.Key == "" {
+			t.Fatalf("shard stream line %q: not a canonical record (%v)", line, err)
+		}
+		st.recs = append(st.recs, rec)
+	}
+	last := bytes.TrimSuffix(lines[len(lines)-1], []byte("\n"))
+	if err := json.Unmarshal(last, &st.last); err != nil {
+		t.Fatalf("terminal line %q: %v", last, err)
+	}
+	if want, _ := json.Marshal(st.last); !bytes.Equal(last, want) {
+		t.Fatalf("terminal line\n got %s\nwant %s", last, want)
+	}
+	return resp, st
 }
 
 func TestShardsDisabledWithoutWorkerMode(t *testing.T) {
@@ -122,35 +135,29 @@ func TestShardStreamsRangeWithTerminalEOF(t *testing.T) {
 	_, ts := newTestServer(t, Config{EnableShards: true})
 	params := *campaignReq(20).Campaign
 	req := ShardRequest{Campaign: params, Lo: 5, Hi: 15, Key: shardKey(t, params)}
-	resp, lines := postShard(t, ts, req)
+	resp, st := postShard(t, ts, req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200", resp.StatusCode)
 	}
-	if len(lines) != 11 {
-		t.Fatalf("got %d stream lines, want 10 records + EOF", len(lines))
+	if len(st.recs) != 10 {
+		t.Fatalf("got %d records, want 10 before the EOF", len(st.recs))
 	}
-	last := lines[len(lines)-1]
-	if !last.EOF || last.Sent != 10 {
-		t.Fatalf("terminal line = %+v, want EOF with Sent=10", last)
+	if !st.last.EOF || st.last.Sent != 10 {
+		t.Fatalf("terminal line = %+v, want EOF with Sent=10", st.last)
 	}
-	for i, line := range lines[:10] {
-		if line.Rec == nil {
-			t.Fatalf("line %d is not a record: %+v", i, line)
+	for i, rec := range st.recs {
+		if rec.Index != req.Lo+i {
+			t.Fatalf("record %d has index %d, want %d (in-order range)", i, rec.Index, req.Lo+i)
 		}
-		if line.Rec.Index != req.Lo+i {
-			t.Fatalf("record %d has index %d, want %d (in-order range)", i, line.Rec.Index, req.Lo+i)
-		}
-		if line.Rec.Key != req.Key {
-			t.Fatalf("record %d carries key %s, want %s", i, line.Rec.Key, req.Key)
+		if rec.Key != req.Key {
+			t.Fatalf("record %d carries key %s, want %s", i, rec.Key, req.Key)
 		}
 	}
 
 	// Determinism across executions: the same range streams the same
 	// bytes — the property every fabric re-lease and dedupe rests on.
 	_, again := postShard(t, ts, req)
-	a, _ := json.Marshal(lines)
-	b, _ := json.Marshal(again)
-	if !bytes.Equal(a, b) {
+	if !bytes.Equal(st.body, again.body) {
 		t.Fatal("re-running the same shard produced different records")
 	}
 }
@@ -159,17 +166,16 @@ func TestShardSkipListSuppressesDoneTrials(t *testing.T) {
 	_, ts := newTestServer(t, Config{EnableShards: true})
 	params := *campaignReq(20).Campaign
 	req := ShardRequest{Campaign: params, Lo: 5, Hi: 15, Skip: []int{6, 9, 14}, Key: shardKey(t, params)}
-	resp, lines := postShard(t, ts, req)
+	resp, st := postShard(t, ts, req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200", resp.StatusCode)
 	}
-	last := lines[len(lines)-1]
-	if !last.EOF || last.Sent != 7 {
-		t.Fatalf("terminal line = %+v, want EOF with Sent=7", last)
+	if !st.last.EOF || st.last.Sent != 7 {
+		t.Fatalf("terminal line = %+v, want EOF with Sent=7", st.last)
 	}
 	seen := map[int]bool{}
-	for _, line := range lines[:len(lines)-1] {
-		seen[line.Rec.Index] = true
+	for _, rec := range st.recs {
+		seen[rec.Index] = true
 	}
 	for _, skipped := range req.Skip {
 		if seen[skipped] {
@@ -178,56 +184,6 @@ func TestShardSkipListSuppressesDoneTrials(t *testing.T) {
 	}
 	if len(seen) != 7 {
 		t.Fatalf("streamed %d distinct indices, want 7", len(seen))
-	}
-}
-
-// TestShardLineCodecMatchesJSON pins the shard wire format to
-// encoding/json in both directions, on the lines a worker writes and
-// on ones it never does: AppendRecordLine writes what a json.Encoder
-// writes for ShardLine{Rec: rec}, and DecodeShardLine decodes any line
-// as json.Unmarshal does.
-func TestShardLineCodecMatchesJSON(t *testing.T) {
-	recs := []campaign.TrialRecord{
-		{Key: "k", Prog: "p", Seed: 7, Index: 3, Space: "int-reg", Reg: 4, Bit: 9, Step: 12, Detected: true, Attempts: 1, Outcome: "benign"},
-		{Key: "k", Prog: "p", Seed: 7, Index: 4, Space: "mem", Addr: 65544, Attempts: 2, Err: "site <bad> & \"quoted\"", AttemptErrs: []string{"a b"}},
-	}
-	var lines [][]byte
-	for i := range recs {
-		var want bytes.Buffer
-		if err := json.NewEncoder(&want).Encode(ShardLine{Rec: &recs[i]}); err != nil {
-			t.Fatal(err)
-		}
-		got := AppendRecordLine(nil, &recs[i])
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("AppendRecordLine\n got %s\nwant %s", got, want.Bytes())
-		}
-		lines = append(lines, bytes.TrimSuffix(got, []byte("\n")))
-	}
-	canon := string(lines[0])
-	for _, s := range []string{
-		`{"eof":true,"sent":10}`,
-		`{"err":"boom"}`,
-		`{"rec":null}`,
-		`{"rec":{"key":"k"}}`,
-		`{"rec":{"key":"k"} }`,
-		`{"rec":{"key":"k"},"eof":true}`,
-		`{"rec":{"key":"k"},"rec":null}`,
-		`{"rec":{"key":"k","i":"x"}}`,
-		`{"rec":{"key":"k"}`,
-		canon[:len(canon)-1],
-		canon + "}",
-		` ` + canon,
-		`not json`,
-	} {
-		lines = append(lines, []byte(s))
-	}
-	for _, raw := range lines {
-		var want ShardLine
-		werr := json.Unmarshal(raw, &want)
-		got, gerr := DecodeShardLine(raw)
-		if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
-			t.Fatalf("DecodeShardLine(%s) = %+v, %v; json.Unmarshal gives %+v, %v", raw, got, gerr, want, werr)
-		}
 	}
 }
 
@@ -250,8 +206,8 @@ func (w *countingWriter) Flush() {
 
 // A shard stream is written one journal chunk at a time: at most one
 // Write and one Flush per chunk plus the terminal line's, and the body
-// is the per-record AppendRecordLine bytes of the single-node
-// checkpoint's records, then {"eof":true,"sent":n}.
+// is the single-node checkpoint of the same range byte for byte, then
+// {"eof":true,"sent":n}.
 func TestShardWritesOncePerChunk(t *testing.T) {
 	const n = 4096
 	s, _ := newTestServer(t, Config{EnableShards: true})
@@ -271,18 +227,7 @@ func TestShardWritesOncePerChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []byte
-	for _, line := range bytes.SplitAfter(ref, []byte("\n")) {
-		if len(line) == 0 {
-			continue
-		}
-		var rec campaign.TrialRecord
-		if err := rec.DecodeJSON(line[:len(line)-1]); err != nil {
-			t.Fatal(err)
-		}
-		want = AppendRecordLine(want, &rec)
-	}
-	want = append(want, fmt.Sprintf(`{"eof":true,"sent":%d}`+"\n", n)...)
+	want := append(ref, fmt.Sprintf(`{"eof":true,"sent":%d}`+"\n", n)...)
 
 	body, err := json.Marshal(ShardRequest{Campaign: params, Lo: 0, Hi: n, Key: shardKey(t, params)})
 	if err != nil {
@@ -299,6 +244,6 @@ func TestShardWritesOncePerChunk(t *testing.T) {
 			w.writes, w.flushes, n, limit)
 	}
 	if !bytes.Equal(w.Body.Bytes(), want) {
-		t.Fatalf("shard body (%d bytes) differs from the per-record lines of the single-node checkpoint (%d bytes)", w.Body.Len(), len(want))
+		t.Fatalf("shard body (%d bytes) differs from the single-node checkpoint plus its EOF line (%d bytes)", w.Body.Len(), len(want))
 	}
 }

@@ -1,6 +1,6 @@
 // Package sweep provides the parameter-sweep plumbing the figure
-// experiments share: deterministic parallel mapping over a work list
-// and small grid helpers.
+// experiments share: deterministic parallel mapping over a work list,
+// the Pair point type and Logspace.
 package sweep
 
 import (
@@ -128,52 +128,10 @@ func MapContext[T, R any](ctx context.Context, items []T, workers int, f func(co
 	return out, errors.Join(failures...)
 }
 
-// Ints returns the inclusive range [from, to] with the given step.
-func Ints(from, to, step int) []int {
-	if step <= 0 {
-		step = 1
-	}
-	var out []int
-	if from <= to {
-		for v := from; v <= to; v += step {
-			out = append(out, v)
-		}
-	} else {
-		for v := from; v >= to; v -= step {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // Pair is one point of a 2-dimensional sweep.
 type Pair[A, B any] struct {
 	X A
 	Y B
-}
-
-// Cross returns the full cross product of xs and ys, xs-major.
-func Cross[A, B any](xs []A, ys []B) []Pair[A, B] {
-	out := make([]Pair[A, B], 0, len(xs)*len(ys))
-	for _, x := range xs {
-		for _, y := range ys {
-			out = append(out, Pair[A, B]{X: x, Y: y})
-		}
-	}
-	return out
-}
-
-// Zip pairs xs[i] with ys[i]; the shorter slice bounds the result.
-func Zip[A, B any](xs []A, ys []B) []Pair[A, B] {
-	n := len(xs)
-	if len(ys) < n {
-		n = len(ys)
-	}
-	out := make([]Pair[A, B], n)
-	for i := 0; i < n; i++ {
-		out[i] = Pair[A, B]{X: xs[i], Y: ys[i]}
-	}
-	return out
 }
 
 // Logspace returns n points spread multiplicatively from start to end

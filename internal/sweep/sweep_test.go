@@ -9,8 +9,17 @@ import (
 	"testing"
 )
 
+// seq returns the work list 0, 1, ..., n-1.
+func seq(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}
+
 func TestMapOrderedResults(t *testing.T) {
-	items := Ints(0, 99, 1)
+	items := seq(100)
 	out, err := Map(items, 8, func(x int) (int, error) { return x * x, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +111,7 @@ func TestMapContextCancel(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int32
-		items := Ints(0, 99, 1)
+		items := seq(100)
 		out, err := MapContext(ctx, items, workers, func(ctx context.Context, x int) (int, error) {
 			if ran.Add(1) == 3 {
 				cancel()
@@ -135,7 +144,7 @@ func TestMapContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int32
-	_, err := MapContext(ctx, Ints(0, 9, 1), 4, func(context.Context, int) (int, error) {
+	_, err := MapContext(ctx, seq(10), 4, func(context.Context, int) (int, error) {
 		ran.Add(1)
 		return 0, nil
 	})
@@ -173,37 +182,6 @@ func TestMapEmpty(t *testing.T) {
 	out, err := Map(nil, 4, func(x int) (int, error) { return x, nil })
 	if err != nil || len(out) != 0 {
 		t.Error("empty map misbehaved")
-	}
-}
-
-func TestInts(t *testing.T) {
-	got := Ints(1, 7, 2)
-	want := []int{1, 3, 5, 7}
-	if len(got) != len(want) {
-		t.Fatalf("Ints = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Ints = %v", got)
-		}
-	}
-	down := Ints(5, 1, 2)
-	if len(down) != 3 || down[0] != 5 || down[2] != 1 {
-		t.Errorf("descending Ints = %v", down)
-	}
-	if got := Ints(1, 3, 0); len(got) != 3 {
-		t.Errorf("zero step not clamped: %v", got)
-	}
-}
-
-func TestCrossAndZip(t *testing.T) {
-	c := Cross([]int{1, 2}, []string{"a", "b", "c"})
-	if len(c) != 6 || c[0] != (Pair[int, string]{1, "a"}) || c[5] != (Pair[int, string]{2, "c"}) {
-		t.Errorf("Cross = %v", c)
-	}
-	z := Zip([]int{1, 2, 3}, []string{"x", "y"})
-	if len(z) != 2 || z[1] != (Pair[int, string]{2, "y"}) {
-		t.Errorf("Zip = %v", z)
 	}
 }
 
