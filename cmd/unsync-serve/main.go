@@ -20,7 +20,7 @@
 //	-drain-timeout d    how long SIGTERM waits for in-flight jobs to
 //	                    checkpoint before exiting anyway (default 30s)
 //	-worker             enable fleet worker mode: mount the shard
-//	                    execution endpoint so an unsync-fleet
+//	                    execution endpoint so an unsync-fault -fleet
 //	                    coordinator can lease trial ranges to this node
 //
 // API:
@@ -35,11 +35,10 @@
 //	                         chunk; 409 on a params key mismatch, 429
 //	                         under overload
 //	GET  /healthz            liveness
-//	GET  /readyz             readiness (503 while draining or when the
-//	                         runner circuit is open)
+//	GET  /readyz             readiness (503 while draining)
 //	GET  /metrics            Prometheus text exposition: serve gauges
 //	                         (in-flight jobs, queue depth, shed total,
-//	                         breaker state, jobs by state) plus one
+//	                         jobs by state) plus one
 //	                         unsync_job_event_total{job,event} counter
 //	                         per taxonomy event of each completed job,
 //	                         and in -worker mode the shard gauges

@@ -302,8 +302,9 @@ func (c *Coordinator) Close() error { return c.jn.Close() }
 
 // Run executes the campaign to completion (or interruption) and merges
 // the result. On campaign.ErrInterrupted (context cancelled, or
-// Config.StopAfter fired) the journal holds every received trial and a
-// Resume run completes the campaign without re-running them.
+// Config.StopAfter fired) it returns the partial Result, the journal
+// holds every received trial, and a Resume run completes the campaign
+// without re-running them. A fatal error returns the zero Result.
 func (c *Coordinator) Run(ctx context.Context) (campaign.Result, error) {
 	defer c.jn.Close()
 
@@ -362,11 +363,17 @@ func (c *Coordinator) Run(ctx context.Context) (campaign.Result, error) {
 	if fatal != nil {
 		return campaign.Result{}, fatal
 	}
+	// Interrupted: like campaign.RunContext, return the partial Result
+	// folded so far (resumed plus received records) with the per-trial
+	// failures joined in.
+	c.mu.Lock()
+	res, trialErrs := c.fold.Result()
+	c.mu.Unlock()
 	cause := context.Cause(rctx)
 	if errors.Is(cause, errStopAfter) {
-		return campaign.Result{}, errors.Join(campaign.ErrInterrupted, errStopAfter)
+		return res, errors.Join(campaign.ErrInterrupted, errStopAfter, trialErrs)
 	}
-	return campaign.Result{}, errors.Join(campaign.ErrInterrupted, cause)
+	return res, errors.Join(campaign.ErrInterrupted, cause, trialErrs)
 }
 
 // releaseBackoff is the re-lease backoff after a worker failure: the
@@ -708,7 +715,7 @@ func (c *Coordinator) logf(format string, args ...any) {
 	if c.cfg.Log == nil {
 		return
 	}
-	fmt.Fprintf(c.cfg.Log, "unsync-fleet: "+format+"\n", args...)
+	fmt.Fprintf(c.cfg.Log, "fleet: "+format+"\n", args...)
 }
 
 // fileSize returns a path's size, 0 for a missing file.

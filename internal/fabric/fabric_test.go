@@ -259,8 +259,12 @@ func TestFleetCoordinatorRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c1.Run(context.Background()); !errors.Is(err, campaign.ErrInterrupted) {
+	partial, err := c1.Run(context.Background())
+	if !errors.Is(err, campaign.ErrInterrupted) {
 		t.Fatalf("interrupted run: got %v, want campaign.ErrInterrupted", err)
+	}
+	if partial.Ran != 20 || partial.Requested != 60 {
+		t.Fatalf("interrupted run returned Ran %d of %d, want the partial 20 of 60", partial.Ran, partial.Requested)
 	}
 
 	// A restarted coordinator replays the journal and completes the

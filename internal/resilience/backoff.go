@@ -1,7 +1,7 @@
 // Package resilience provides the failure-handling primitives of the
-// campaign job service: retry with exponentially growing, fully
-// jittered backoff; a three-state circuit breaker; and a bounded-queue
-// admission semaphore for load shedding.
+// campaign job service and the fleet coordinator: retry with
+// exponentially growing, fully jittered backoff; a three-state circuit
+// breaker; and a bounded-queue admission semaphore for load shedding.
 //
 // Unlike the simulation packages, resilience is deliberately
 // non-deterministic: jitter draws from math/rand/v2 and the breaker

@@ -37,7 +37,8 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int(s))
 }
 
-// The breaker's fixed tuning: serve and fabric both run with it.
+// The breaker's fixed tuning: the fleet coordinator's per-worker
+// breakers (internal/fabric) run with it.
 const (
 	// failureThreshold is the consecutive-failure count that trips the
 	// circuit Closed→Open.

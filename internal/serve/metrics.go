@@ -7,14 +7,13 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/cmlasu/unsync/internal/resilience"
 	"github.com/cmlasu/unsync/internal/stream"
 )
 
 // handleMetrics serves GET /metrics in the Prometheus text exposition
 // format (version 0.0.4). It exposes the server's own operational
-// gauges (in-flight jobs, queue depth, shed submits, breaker state,
-// jobs by state) and, for every finished job whose result carries an
+// gauges (in-flight jobs, queue depth, shed submits, jobs by state)
+// and, for every finished job whose result carries an
 // "Events" map under the repository-wide counter taxonomy
 // (internal/events), one `unsync_job_event_total` sample per counter,
 // labeled with the job ID and event name.
@@ -72,8 +71,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var e Exposition
 	e.Gauge("unsync_serve_inflight_jobs", "Jobs currently holding a worker slot.", float64(inflight))
 	e.Gauge("unsync_serve_queue_depth", "Admitted jobs waiting for a worker slot.", float64(queued))
-	e.Gauge("unsync_serve_breaker_state", "Runner circuit breaker state (0=closed, 1=half-open, 2=open).",
-		float64(breakerStateValue(s.breaker.State())))
 	e.Counter("unsync_serve_shed_total", "Submits rejected with 429 since process start.", shed)
 
 	if s.cfg.EnableShards {
@@ -126,7 +123,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // Exposition builds a Prometheus text-format (version 0.0.4) body. It
 // is the one writer behind both /metrics endpoints: this server's and
-// the unsync-fleet coordinator's.
+// the fleet coordinator's (unsync-fault -fleet -metrics).
 type Exposition struct {
 	b strings.Builder
 }
@@ -183,17 +180,4 @@ func labelSet(kv []string) string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// breakerStateValue maps the breaker state onto the stable numeric
-// encoding the metric documents.
-func breakerStateValue(st resilience.State) int {
-	switch st {
-	case resilience.Open:
-		return 2
-	case resilience.HalfOpen:
-		return 1
-	default:
-		return 0
-	}
 }

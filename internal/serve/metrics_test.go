@@ -5,29 +5,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 )
-
-// TestRetryAfterSecondsRoundsUp is the regression test for the
-// truncated Retry-After hint: a fractional cooldown must round up so
-// clients do not retry into a still-closed window.
-func TestRetryAfterSecondsRoundsUp(t *testing.T) {
-	for _, tc := range []struct {
-		d    time.Duration
-		want string
-	}{
-		{0, "1"},
-		{300 * time.Millisecond, "1"},
-		{time.Second, "1"},
-		{2500 * time.Millisecond, "3"},
-		{3 * time.Second, "3"},
-		{3*time.Second + time.Millisecond, "4"},
-	} {
-		if got := retryAfterSeconds(tc.d); got != tc.want {
-			t.Errorf("retryAfterSeconds(%v) = %q, want %q", tc.d, got, tc.want)
-		}
-	}
-}
 
 // scrapeMetrics GETs /metrics and returns the body.
 func scrapeMetrics(t *testing.T, base string) string {
@@ -64,8 +42,6 @@ func TestMetricsExposesJobEvents(t *testing.T) {
 	body := scrapeMetrics(t, ts.URL)
 	for _, want := range []string{
 		"# TYPE unsync_serve_inflight_jobs gauge",
-		"# TYPE unsync_serve_breaker_state gauge",
-		"unsync_serve_breaker_state 0",
 		`unsync_serve_jobs{state="done"} 1`,
 		"# TYPE unsync_job_event_total counter",
 		`unsync_job_event_total{job="` + job.ID + `",event="CAMPAIGN.TRIALS"} 20`,

@@ -16,8 +16,7 @@ import (
 
 // runFunc executes one job and returns its JSON result. The server's
 // default runner dispatches on the job kind; tests inject slow or
-// failing runners through newServer to exercise overload and breaker
-// behavior.
+// failing runners through newServer to exercise overload behavior.
 type runFunc func(ctx context.Context, job *Job) (json.RawMessage, error)
 
 // defaultRunner is the production runFunc.

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -75,7 +74,6 @@ type Server struct {
 	cfg     Config
 	runner  runFunc
 	gate    *resilience.Gate
-	breaker *resilience.Breaker
 	journal *journal.Log
 	mux     *http.ServeMux
 
@@ -133,7 +131,6 @@ func newServer(cfg Config, runner runFunc) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		gate:       resilience.NewGate(cfg.MaxConcurrent, cfg.QueueDepth),
-		breaker:    resilience.NewBreaker(),
 		journal:    jn,
 		jobsCtx:    ctx,
 		drainCause: cancel,
@@ -195,20 +192,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleReadyz reports readiness: 503 while draining or while the
-// breaker holds the circuit open.
+// handleReadyz reports readiness: 503 while draining.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
-	switch {
-	case draining:
+	if draining {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-	case s.breaker.State() == resilience.Open:
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "circuit-open"})
-	default:
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		return
 	}
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // handleJobs serves POST (submit) and GET (list) on /api/v1/jobs.
@@ -242,12 +235,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining {
 		s.mu.Unlock()
 		httpError(w, http.StatusServiceUnavailable, "server draining")
-		return
-	}
-	if s.breaker.State() == resilience.Open {
-		s.mu.Unlock()
-		w.Header().Set("Retry-After", retryAfterSeconds(resilience.Cooldown))
-		httpError(w, http.StatusServiceUnavailable, "job runner circuit open")
 		return
 	}
 	res, err := s.gate.Reserve()
@@ -326,20 +313,7 @@ func (s *Server) startJob(job *Job, res *resilience.Reservation) {
 		ctx, cancel := context.WithTimeoutCause(s.jobsCtx,
 			time.Duration(job.DeadlineMS)*time.Millisecond, errDeadline)
 		defer cancel()
-		done, berr := s.breaker.Allow()
-		if berr != nil {
-			s.finishJob(job, nil, berr)
-			return
-		}
 		result, err := s.runner(ctx, job)
-		// Only infrastructure failures should trip the breaker: a
-		// drain or a job deadline says nothing about the runner's
-		// health.
-		if isInterrupt(err) || errors.Is(err, errDeadline) {
-			done(nil)
-		} else {
-			done(err)
-		}
 		s.finishJob(job, result, err)
 	}()
 }
@@ -475,15 +449,3 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 // shedRetryAfter is the Retry-After hint of a 429, in seconds: a shed
 // submit or shard lease may come back after one second.
 const shedRetryAfter = "1"
-
-// retryAfterSeconds renders a Retry-After header value: the duration
-// in whole seconds, rounded UP, at least 1. Rounding down would tell
-// clients to come back before the window ends (a 2.5 s cooldown would
-// advertise "2"), re-shedding well-behaved retries.
-func retryAfterSeconds(d time.Duration) string {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
